@@ -377,9 +377,6 @@ def train_loop(model, features, labels, config: TrainConfig,
     all_params = model.all_params()
     dtype = all_params[0][3].dtype if all_params else np.float32
 
-    def metric_now():
-        return evaluate_metric(model, val_features, val_labels, task)
-
     for it in range(1, config.iterations + 1):
         idx = rng.choice(n, size=min(config.batch_size, n), replace=False)
         xb = features[idx]
@@ -407,7 +404,7 @@ def train_loop(model, features, labels, config: TrainConfig,
 
         metric = None
         if config.eval_every and (it % config.eval_every == 0 or it == config.iterations):
-            metric = metric_now()
+            metric = evaluate_metric(model, val_features, val_labels, task)
             if metric > best:
                 best = metric
                 if config.keep == "best":
@@ -426,5 +423,6 @@ def train_loop(model, features, labels, config: TrainConfig,
 
     if config.keep == "best" and best_snap is not None:
         _restore(model, best_snap)
-    result.best_metric = best if best > -np.inf else metric_now()
+    if best > -np.inf:
+        result.best_metric = best
     return result

@@ -56,7 +56,9 @@ def kd_total_loss(z_student, z_teacher, y, cfg: KDConfig, tape=None):
 
     At alpha = 1 the value and gradient equal plain cross-entropy exactly.
     Returns a Loss whose gradient is taken with respect to the student
-    logits (the teacher is constant).
+    logits (the teacher is constant).  The Loss also carries its terms:
+    ``ce``, the cross-entropy, and ``kl``, the KL divergence before any
+    T^2 scaling; both are filled at every alpha.
     """
     _check_tape(z_student, tape)
     z_s = np.atleast_2d(np.asarray(z_student, dtype=float))
@@ -66,20 +68,23 @@ def kd_total_loss(z_student, z_teacher, y, cfg: KDConfig, tape=None):
         raise ShapeError(f"student logits {z_s.shape} vs teacher {z_t.shape}")
 
     ce = cross_entropy(z_s, y)
-    if cfg.alpha == 1.0:
-        return Loss(float(ce), ce.dlogits, tape)
-
     t = cfg.temperature
     p_s = softened_softmax(z_s, t)
     p_t = softened_softmax(z_t, t)
     kl = kl_divergence(p_t, p_s)
-    kl_grad = (p_s - p_t) / (t * z_s.shape[0])
-    if cfg.t2_scaling:
-        kl *= t * t
-        kl_grad = kl_grad * (t * t)
-    value = cfg.alpha * float(ce) + (1.0 - cfg.alpha) * kl
-    dlogits = cfg.alpha * ce.dlogits + (1.0 - cfg.alpha) * kl_grad
-    return Loss(value, dlogits, tape)
+    if cfg.alpha == 1.0:
+        loss = Loss(float(ce), ce.dlogits, tape)
+    else:
+        kl_term = kl
+        kl_grad = (p_s - p_t) / (t * z_s.shape[0])
+        if cfg.t2_scaling:
+            kl_term = kl * (t * t)
+            kl_grad = kl_grad * (t * t)
+        value = cfg.alpha * float(ce) + (1.0 - cfg.alpha) * kl_term
+        dlogits = cfg.alpha * ce.dlogits + (1.0 - cfg.alpha) * kl_grad
+        loss = Loss(value, dlogits, tape)
+    loss.ce, loss.kl = float(ce), kl
+    return loss
 
 
 def make_student_from_plan(teacher: ModelGraph, plan: PrunePlan,
@@ -117,10 +122,7 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
         xb_teacher = model_input(teacher, feats[idx]).astype(np.float32, copy=False)
         z_t = inference(teacher, xb_teacher, mode="eval")
         loss = kd_total_loss(z, z_t, yb, cfg, tape)
-        ce = float(cross_entropy(z, yb))
-        kl = kl_divergence(softened_softmax(z_t, cfg.temperature),
-                           softened_softmax(z, cfg.temperature))
-        kd_rows.append((len(kd_rows) + 1, ce, kl, float(loss)))
+        kd_rows.append((len(kd_rows) + 1, loss.ce, loss.kl, float(loss)))
         return loss
 
     val_feats = val_labels = None

@@ -6,11 +6,13 @@ quaternion feature maps are (N, 4, Q, H, W), where the second axis holds the
 a model can be trained without an external autodiff framework; the forward
 methods optionally return the context needed by backward.
 
-The quaternion convolution follows the signed 4x4 block structure of the
-Hamilton product: each output plane is a signed sum of four multi-channel
-real convolutions, one per input plane, all sharing the same four kernel
-banks.  This is what yields the 4x kernel-parameter reduction relative to a
-real convolution of equal real width.
+A quaternion layer is the real layer whose weight is tied by the Hamilton
+product: ``hamilton_expand`` fills the signed 4x4 block matrix of the four
+kernel banks, and the layer then runs the one real convolution or matmul
+on the (N, 4*Q, ...) view of its input.  The tying is what yields the 4x
+kernel-parameter reduction relative to a real layer of equal real width.
+Backward computes the real weight gradient and folds it back onto the
+banks with ``hamilton_fold``, the adjoint of the expansion.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def conv_output_hw(h, w, kh, kw, stride, padding):
 
 
 def _im2col(x, kh, kw, stride, padding):
-    """Extract sliding patches of x (N, C, H, W) as (N, C*kh*kw, OH*OW)."""
+    """Sliding patches of x (N, C, H, W) as the (C*kh*kw, N*OH*OW) column
+    matrix of a GEMM, built with a single copy."""
     conv_output_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -61,40 +64,74 @@ def _im2col(x, kh, kw, stride, padding):
     s0, s1, s2, s3 = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        shape=(c, kh, kw, n, oh, ow),
+        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
         writeable=False,
     )
-    return windows.reshape(n, c * kh * kw, oh * ow), oh, ow
+    return windows.reshape(c * kh * kw, n * oh * ow), oh, ow
 
 
 def _col2im(grad_cols, x_shape, kh, kw, stride, padding):
-    """Scatter-add patch gradients (N, C*kh*kw, OH*OW) back to input shape."""
+    """Scatter-add column gradients (C*kh*kw, N*OH*OW) back to x_shape."""
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
-    gc = grad_cols.reshape(n, c, kh, kw, oh, ow)
-    gx = np.zeros((n, c, hp, wp), dtype=grad_cols.dtype)
+    gc = grad_cols.reshape(c, kh, kw, n, oh, ow)
+    gx = np.zeros((c, n, hp, wp), dtype=grad_cols.dtype)
     for a in range(kh):
         for b in range(kw):
             gx[:, :, a : a + stride * oh : stride, b : b + stride * ow : stride] += (
-                gc[:, :, a, b]
+                gc[:, a, b]
             )
+    gx = gx.transpose(1, 0, 2, 3)
     if padding:
         gx = gx[:, :, padding : padding + h, padding : padding + w]
     return gx
 
 
-def _to_gemm(x, channels):
-    """(N, C, OH*OW...) -> (C, N*P) column matrix."""
-    n = x.shape[0]
-    flat = x.reshape(n, channels, -1)
-    return flat.transpose(1, 0, 2).reshape(channels, -1)
+def _conv_forward(x, w, b, stride, padding):
+    """Real cross-correlation of x (N, C, H, W) with w (O, C, kh, kw) plus an
+    optional bias (O,); returns (y, cols), cols being what backward needs."""
+    o, _, kh, kw = w.shape
+    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
+    y = (w.reshape(o, -1) @ cols).reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
+    if b is not None:
+        y = y + b[None, :, None, None]
+    return y, cols
 
 
-def _from_gemm(mat, n, channels, oh, ow):
-    return mat.reshape(channels, n, oh * ow).transpose(1, 0, 2).reshape(n, channels, oh, ow)
+def _conv_backward(grad_y, cols, w, x_shape, stride, padding):
+    """Gradients of _conv_forward; returns (gw, gb, gx)."""
+    o, _, kh, kw = w.shape
+    gm = grad_y.transpose(1, 0, 2, 3).reshape(o, -1)
+    gw = (gm @ cols.T).reshape(w.shape)
+    gx = _col2im(w.reshape(o, -1).T @ gm, x_shape, kh, kw, stride, padding)
+    return gw, gm.sum(axis=1), gx
+
+
+def hamilton_expand(banks):
+    """Quaternion weight banks (4, q_out, q_in, ...) to the real weight
+    (4*q_out, 4*q_in, ...) whose (o, o') block is the signed bank of
+    HAMILTON_ROWS[o][o']: the real layer the quaternion layer stands for."""
+    _, q_out, q_in, *rest = banks.shape
+    w = np.empty((4, q_out, 4, q_in, *rest), dtype=banks.dtype)
+    for o, row in enumerate(HAMILTON_ROWS):
+        for o_in, (comp, sign) in enumerate(row):
+            w[o, :, o_in] = sign * banks[comp]
+    return w.reshape(4 * q_out, 4 * q_in, *rest)
+
+
+def hamilton_fold(grad):
+    """Adjoint of hamilton_expand: fold a real-weight gradient
+    (4*q_out, 4*q_in, ...) back to the banks (4, q_out, q_in, ...)."""
+    q_out, q_in = grad.shape[0] // 4, grad.shape[1] // 4
+    g = grad.reshape(4, q_out, 4, q_in, *grad.shape[2:])
+    banks = np.zeros((4, q_out, q_in, *grad.shape[2:]), dtype=grad.dtype)
+    for o, row in enumerate(HAMILTON_ROWS):
+        for o_in, (comp, sign) in enumerate(row):
+            banks[comp] += sign * g[o, :, o_in]
+    return banks
 
 
 # ---------------------------------------------------------------------------
@@ -174,27 +211,17 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"conv2d expects (N, {self.c_in}, H, W), got {x.shape}"
             )
-        kh, kw = self.kernel
-        cols, oh, ow = _im2col(x, kh, kw, self.stride, self.padding)
-        n = x.shape[0]
-        c2 = _to_gemm(cols, self.c_in * kh * kw)
-        wm = self.w.reshape(self.c_out, -1)
-        y = _from_gemm(wm @ c2, n, self.c_out, oh, ow)
-        if self.has_bias:
-            y = y + self.b[None, :, None, None]
-        ctx = {"c2": c2, "x_shape": x.shape, "ohw": (oh, ow)} if record else None
+        y, cols = _conv_forward(x, self.w, self.b, self.stride, self.padding)
+        ctx = {"cols": cols, "x_shape": x.shape} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
-        kh, kw = self.kernel
-        n = ctx["x_shape"][0]
-        gm = _to_gemm(grad_y, self.c_out)
-        grads[(self.lid, "w")] += (gm @ ctx["c2"].T).reshape(self.w.shape)
+        gw, gb, gx = _conv_backward(grad_y, ctx["cols"], self.w, ctx["x_shape"],
+                                    self.stride, self.padding)
+        grads[(self.lid, "w")] += gw
         if self.has_bias:
-            grads[(self.lid, "b")] += gm.sum(axis=1)
-        wm = self.w.reshape(self.c_out, -1)
-        gcols = (wm.T @ gm).reshape(-1, n, gm.shape[1] // n).transpose(1, 0, 2)
-        return _col2im(gcols, ctx["x_shape"], kh, kw, self.stride, self.padding)
+            grads[(self.lid, "b")] += gb
+        return gx
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -216,13 +243,14 @@ class Conv2d(Layer):
 
 
 class QConv2d(Layer):
-    """Quaternion 2D convolution via the Hamilton-product block structure.
+    """Quaternion 2D convolution as a Hamilton-expanded real convolution.
 
     ``weights`` stacks the four kernel banks (F_R, F_I, F_J, F_K) along the
-    leading axis: shape (4, q_out, q_in, kh, kw).  Each output plane o is
-    computed as sum_{o'} sign(o, o') * conv(bank(o, o'), x_plane(o')), the
-    row structure of the quaternion multiplication matrix.  The bias is one
-    quaternion per output channel, shape (4, q_out).
+    leading axis: shape (4, q_out, q_in, kh, kw).  The bias is one
+    quaternion per output channel, shape (4, q_out).  Forward expands the
+    banks once into the real (4*q_out, 4*q_in, kh, kw) kernel and runs the
+    real convolution on the (N, 4*q_in, H, W) view of the input; backward
+    folds the real kernel gradient back onto the banks.
     """
 
     type_name = "qconv2d"
@@ -253,59 +281,28 @@ class QConv2d(Layer):
         if self.has_bias:
             self.bias = np.zeros_like(self.bias)
 
-    def _row_matrices(self):
-        f1 = self.q_in * self.kernel[0] * self.kernel[1]
-        wm = self.weights.reshape(4, self.q_out, f1)
-        rows = []
-        for row in HAMILTON_ROWS:
-            rows.append(np.concatenate([sign * wm[comp] for comp, sign in row], axis=1))
-        return rows, f1
-
     def forward(self, x, mode="eval", record=False, update_stats=True):
         if x.ndim != 5 or x.shape[1] != 4 or x.shape[2] != self.q_in:
             raise ShapeError(
                 f"qconv2d expects (N, 4, {self.q_in}, H, W), got {x.shape}"
             )
-        kh, kw = self.kernel
         n = x.shape[0]
-        parts = []
-        for o in range(4):
-            cols, oh, ow = _im2col(x[:, o], kh, kw, self.stride, self.padding)
-            parts.append(_to_gemm(cols, self.q_in * kh * kw))
-        c2 = np.concatenate(parts, axis=0)  # (4*q_in*kh*kw, N*P)
-        rows, f1 = self._row_matrices()
-        planes = [_from_gemm(rows[o] @ c2, n, self.q_out, oh, ow) for o in range(4)]
-        y = np.stack(planes, axis=1)
-        if self.has_bias:
-            y = y + self.bias[None, :, :, None, None]
-        ctx = None
-        if record:
-            ctx = {"c2": c2, "rows": rows, "f1": f1, "x_shape": x.shape, "ohw": (oh, ow)}
-        return y, ctx
+        x2 = x.reshape(n, 4 * self.q_in, *x.shape[3:])
+        wr = hamilton_expand(self.weights)
+        b = self.bias.reshape(-1) if self.has_bias else None
+        y, cols = _conv_forward(x2, wr, b, self.stride, self.padding)
+        ctx = {"cols": cols, "w": wr, "x_shape": x2.shape} if record else None
+        return y.reshape(n, 4, self.q_out, *y.shape[2:]), ctx
 
     def backward(self, grad_y, ctx, grads):
-        kh, kw = self.kernel
-        n = ctx["x_shape"][0]
-        f1 = ctx["f1"]
-        c2, rows = ctx["c2"], ctx["rows"]
-        gw = np.zeros_like(self.weights).reshape(4, self.q_out, f1)
-        gcols = np.zeros_like(c2)
-        for o in range(4):
-            g_o = _to_gemm(grad_y[:, o], self.q_out)
-            gw_row = g_o @ c2.T  # (q_out, 4*f1)
-            for slot, (comp, sign) in enumerate(HAMILTON_ROWS[o]):
-                gw[comp] += sign * gw_row[:, slot * f1 : (slot + 1) * f1]
-            gcols += rows[o].T @ g_o
-            if self.has_bias:
-                grads[(self.lid, "bias")][o] += g_o.sum(axis=1)
-        grads[(self.lid, "weights")] += gw.reshape(self.weights.shape)
-        x_plane_shape = (n, self.q_in) + ctx["x_shape"][3:]
-        gx = np.empty(ctx["x_shape"], dtype=grad_y.dtype)
-        p = gcols.shape[1] // n
-        for o in range(4):
-            part = gcols[o * f1 : (o + 1) * f1].reshape(f1, n, p).transpose(1, 0, 2)
-            gx[:, o] = _col2im(part, x_plane_shape, kh, kw, self.stride, self.padding)
-        return gx
+        n = grad_y.shape[0]
+        g2 = grad_y.reshape(n, 4 * self.q_out, *grad_y.shape[3:])
+        gw, gb, gx = _conv_backward(g2, ctx["cols"], ctx["w"], ctx["x_shape"],
+                                    self.stride, self.padding)
+        grads[(self.lid, "weights")] += hamilton_fold(gw)
+        if self.has_bias:
+            grads[(self.lid, "bias")] += gb.reshape(4, self.q_out)
+        return gx.reshape(n, 4, self.q_in, *gx.shape[2:])
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -565,13 +562,17 @@ class AvgPool2d(Layer):
         self.stride = int(stride) if stride is not None else self.window
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        lead = x.shape[:-2]
         h, w = x.shape[-2:]
+        _, oh, ow = self.out_shape((0, h, w))
         x3 = x.reshape(-1, h, w)
-        win, oh, ow = _pool_windows(x3, self.window, self.window, self.stride, self.stride)
-        y = win.mean(axis=(-2, -1)).reshape(lead + (oh, ow))
+        y = np.zeros((x3.shape[0], oh, ow), dtype=x.dtype)
+        s = self.stride
+        for a in range(self.window):
+            for b in range(self.window):
+                y += x3[:, a : a + s * oh : s, b : b + s * ow : s]
+        y /= self.window * self.window
         ctx = {"x_shape": x.shape, "ohw": (oh, ow)} if record else None
-        return y.astype(x.dtype, copy=False), ctx
+        return y.reshape(x.shape[:-2] + (oh, ow)), ctx
 
     def backward(self, grad_y, ctx, grads):
         h, w = ctx["x_shape"][-2:]
@@ -699,6 +700,9 @@ class QLinear(Layer):
     """Quaternion fully-connected layer: each output is a sum of Hamilton
     products of a quaternion weight with a quaternion input, plus a
     quaternion bias.  Weight banks are (4, q_out, q_in); input (N, 4, q_in).
+    It runs as one real matmul with the Hamilton-expanded
+    (4*q_out, 4*q_in) weight; backward folds that weight's gradient back
+    onto the banks.
     """
 
     type_name = "qlinear"
@@ -732,25 +736,21 @@ class QLinear(Layer):
         if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] != self.q_in:
             raise ShapeError(f"qlinear expects (N, 4, {self.q_in}), got {x.shape}")
         n = x.shape[0]
-        y = np.zeros((n, 4, self.q_out), dtype=x.dtype)
-        for o, row in enumerate(HAMILTON_ROWS):
-            for o_in, (comp, sign) in enumerate(row):
-                y[:, o] += sign * (x[:, o_in] @ self.weights[comp].T)
+        x2 = x.reshape(n, 4 * self.q_in)
+        wr = hamilton_expand(self.weights)
+        y = x2 @ wr.T
         if self.has_bias:
-            y = y + self.bias[None]
-        ctx = {"x": x, "squeezed": squeezed} if record else None
-        return y, ctx
+            y = y + self.bias.reshape(-1)
+        ctx = {"x2": x2, "w": wr, "squeezed": squeezed} if record else None
+        return y.reshape(n, 4, self.q_out), ctx
 
     def backward(self, grad_y, ctx, grads):
-        x = ctx["x"]
-        gx = np.zeros_like(x)
-        for o, row in enumerate(HAMILTON_ROWS):
-            g_o = grad_y[:, o]
-            for o_in, (comp, sign) in enumerate(row):
-                grads[(self.lid, "weights")][comp] += sign * (g_o.T @ x[:, o_in])
-                gx[:, o_in] += sign * (g_o @ self.weights[comp])
-            if self.has_bias:
-                grads[(self.lid, "bias")][o] += g_o.sum(axis=0)
+        n = grad_y.shape[0]
+        g2 = grad_y.reshape(n, 4 * self.q_out)
+        grads[(self.lid, "weights")] += hamilton_fold(g2.T @ ctx["x2"])
+        if self.has_bias:
+            grads[(self.lid, "bias")] += g2.sum(axis=0).reshape(4, self.q_out)
+        gx = (g2 @ ctx["w"]).reshape(n, 4, self.q_in)
         if ctx["squeezed"]:
             gx = gx.reshape(gx.shape + (1, 1))
         return gx

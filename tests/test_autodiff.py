@@ -349,3 +349,16 @@ class TestTrainLoop:
             outs.append(np.concatenate([a.ravel() for _, _, _, a in
                                         model.all_params()]))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_eval_off_runs_no_hidden_eval(self):
+        from qprune.models import build_model
+
+        feats = np.random.default_rng(8).normal(
+            size=(32, 4, 1, 16, 16)).astype(np.float32)
+        labels = np.random.default_rng(9).integers(0, 2, size=32)
+        model = build_model("qcnn-mini", 2, (4, 16, 16), seed=5)
+        model.forward_count = 0
+        cfg = TrainConfig(iterations=4, lr=1e-3, seed=3, eval_every=0)
+        result = train_loop(model, feats, labels, cfg)
+        assert model.forward_count == 4
+        assert math.isnan(result.best_metric)

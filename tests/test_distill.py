@@ -69,6 +69,20 @@ class TestKDTotalLoss:
         assert float(kd) == float(ce)
         np.testing.assert_array_equal(kd.dlogits, ce.dlogits)
 
+    def test_carries_ce_and_unscaled_kl_terms(self, rng):
+        from qprune.autodiff import kl_divergence
+
+        z_s = rng.normal(size=(5, 4))
+        z_t = rng.normal(size=(5, 4))
+        y = one_hot(rng.integers(0, 4, size=5), 4)
+        want_kl = kl_divergence(softened_softmax(z_t, 3.0),
+                                softened_softmax(z_s, 3.0))
+        for alpha in (0.0, 0.5, 1.0):
+            for t2 in (False, True):
+                kd = kd_total_loss(z_s, z_t, y, KDConfig(3.0, alpha, t2))
+                assert kd.ce == float(cross_entropy(z_s, y))
+                assert kd.kl == want_kl
+
     def test_alpha_zero_identical_logits(self, rng):
         z = rng.normal(size=(3, 5))
         y = one_hot([0, 1, 2], 5)

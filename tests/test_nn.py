@@ -18,6 +18,8 @@ from qprune.nn import (
     QLinear,
     ReLU,
     convert_architecture,
+    hamilton_expand,
+    hamilton_fold,
     qconv2d,
     qlinear,
     real_conv2d,
@@ -249,14 +251,13 @@ class TestSplitOps:
     def test_pool_matches_nested_loop(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(4, 2, 6, 8))
-        for kind, fn in (("max", np.max), ("avg", np.mean)):
-            out = split_pool(QTensor(data), kind, 2).data
-            for p in range(4):
-                for c in range(2):
-                    for i in range(3):
-                        for j in range(4):
-                            window = data[p, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                            assert out[p, c, i, j] == pytest.approx(fn(window))
+        for k, s in ((2, 2), (3, 2), (2, 1)):  # window, stride
+            for kind, fn in (("max", np.max), ("avg", np.mean)):
+                out = split_pool(QTensor(data), kind, k, s).data
+                assert out.shape == (4, 2, (6 - k) // s + 1, (8 - k) // s + 1)
+                for p, c, i, j in np.ndindex(out.shape):
+                    window = data[p, c, s * i : s * i + k, s * j : s * j + k]
+                    assert out[p, c, i, j] == pytest.approx(fn(window))
 
     def test_pool_window_too_large(self):
         with pytest.raises(ShapeError):
@@ -296,6 +297,40 @@ class TestQLinear:
                 q = Quaternion(*x[:, c])
                 acc = acc + hamilton_product(w, q).as_array()
             np.testing.assert_allclose(out[:, m], acc, rtol=1e-6)
+
+    def test_matches_real_linear_on_expanded_weight(self):
+        rng = np.random.default_rng(15)
+        layer = QLinear(3, 2, dtype=np.float64)
+        layer.weights = rng.normal(size=(4, 2, 3))
+        layer.bias = rng.normal(size=(4, 2))
+        x = rng.normal(size=(5, 4, 3))
+        real = Linear(12, 8, dtype=np.float64)
+        real.w = materialize_block_weight(layer.weights)
+        real.b = quaternion_bias_to_real(layer.bias)
+        want, _ = real.forward(x.reshape(5, 12))
+        np.testing.assert_allclose(qlinear(layer, x), want.reshape(5, 4, 2),
+                                   rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Hamilton expansion and its adjoint
+# ---------------------------------------------------------------------------
+
+class TestHamiltonExpand:
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 3, 3), (4, 3, 2, 1, 5), (4, 5, 3)])
+    def test_matches_materialized_block_weight(self, shape):
+        banks = np.random.default_rng(13).normal(size=shape)
+        np.testing.assert_array_equal(hamilton_expand(banks),
+                                      materialize_block_weight(banks))
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 3, 3), (4, 5, 3)])
+    def test_fold_is_adjoint(self, shape):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=shape)
+        g = rng.normal(size=(4 * shape[1], 4 * shape[2]) + shape[3:])
+        lhs = np.vdot(hamilton_expand(a), g)
+        rhs = np.vdot(a, hamilton_fold(g))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

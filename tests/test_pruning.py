@@ -31,7 +31,6 @@ from qprune.pruning import (
     op_importance,
     plan_from_text,
     plan_to_text,
-    spectral_norm,
 )
 
 
@@ -161,20 +160,24 @@ class TestOpImportance:
         layer = make_qconv(weights, q_in=2, kernel=(1, 2))
         np.testing.assert_allclose(op_importance(layer), 4.0, rtol=1e-9)
 
-    def test_matches_dense_svd_oracle(self, rng):
-        weights = rng.normal(size=(4, 5, 3, 3, 3))
-        layer = make_qconv(weights, q_in=3, kernel=(3, 3))
+    @staticmethod
+    def _check_dense_svd_oracle(rng, q_in, kernel):
+        weights = rng.normal(size=(4, 5, q_in) + kernel)
+        layer = make_qconv(weights, q_in=q_in, kernel=kernel)
         scores = op_importance(layer)
         for m in range(5):
-            want = sum(np.linalg.svd(weights[o, m].reshape(3, 9),
+            want = sum(np.linalg.svd(weights[o, m].reshape(q_in, -1),
                                      compute_uv=False)[0] for o in range(4))
             assert abs(scores[m] - want) / want <= 1e-8
 
+    def test_matches_dense_svd_oracle(self, rng):
+        self._check_dense_svd_oracle(rng, 3, (3, 3))
+
     def test_spectral_norm_wide_matrices(self, rng):
-        for shape in ((8, 16), (16, 8), (1, 9)):
-            a = rng.normal(size=shape)
-            want = np.linalg.svd(a, compute_uv=False)[0]
-            assert spectral_norm(a) == pytest.approx(want, rel=1e-8)
+        # wide (8 x 16), tall (16 x 8) and single-row (1 x 9) component
+        # matrices
+        for q_in, kernel in ((8, (4, 4)), (16, (1, 8)), (1, (3, 3))):
+            self._check_dense_svd_oracle(rng, q_in, kernel)
 
     def test_column_permutation_invariance(self, rng):
         weights = rng.normal(size=(4, 3, 2, 3, 3))
