@@ -200,9 +200,10 @@ def count_macs(model: ModelGraph, input_shape=None) -> int:
 
 
 def timed_inference(model: ModelGraph, batch, repeats=5) -> float:
-    """Median wall-clock seconds of repeated single-threaded forward
-    passes; one warmup pass is excluded.  Meaningful numbers need a quiet
-    machine."""
+    """Median wall-clock seconds of repeated eval-mode forward passes; one
+    warmup pass is excluded.  The passes use whatever BLAS thread count the
+    process runs with (nothing here sets it), and meaningful numbers need a
+    quiet machine."""
     if repeats < 3:
         raise ValueError("need at least 3 repeats for a median")
     inference(model, batch, mode="eval")  # warmup

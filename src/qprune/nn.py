@@ -53,85 +53,84 @@ def conv_output_hw(h, w, kh, kw, stride, padding):
 
 
 def _im2col(x, kh, kw, stride, padding):
-    """Sliding patches of x (N, C, H, W) as the (C*kh*kw, N*OH*OW) column
-    matrix of a GEMM, built with a single copy."""
-    conv_output_hw(x.shape[2], x.shape[3], kh, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    """Sliding patches of x (N, C, H, W) as the (N*OH*OW, kh*kw*C) row
+    matrix of a GEMM.  x is copied once into a zero-padded channels-last
+    buffer, so each patch row gathers kh runs of kw*C contiguous values."""
     n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, kh, kw, n, oh, ow),
-        strides=(s1, s2, s3, s0, s2 * stride, s3 * stride),
-        writeable=False,
+        xp, shape=(n, oh, ow, kh, kw, c),
+        strides=(s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False,
     )
-    return windows.reshape(c * kh * kw, n * oh * ow), oh, ow
+    return windows.reshape(n * oh * ow, kh * kw * c), oh, ow
 
 
-def _col2im(grad_cols, x_shape, kh, kw, stride, padding):
-    """Scatter-add column gradients (C*kh*kw, N*OH*OW) back to x_shape."""
+def _col2im(grad_taps, x_shape, kh, kw, stride, padding):
+    """Scatter-add the per-tap row gradients (kh*kw, N*OH*OW, C) back to a
+    gradient of shape x_shape: one slice-add per kernel tap into a
+    zero-padded channels-last buffer."""
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    gc = grad_cols.reshape(c, kh, kw, n, oh, ow)
-    gx = np.zeros((c, n, hp, wp), dtype=grad_cols.dtype)
+    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+    g = grad_taps.reshape(kh, kw, n, oh, ow, c)
+    gx = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=grad_taps.dtype)
     for a in range(kh):
         for b in range(kw):
-            gx[:, :, a : a + stride * oh : stride, b : b + stride * ow : stride] += (
-                gc[:, a, b]
-            )
-    gx = gx.transpose(1, 0, 2, 3)
-    if padding:
-        gx = gx[:, :, padding : padding + h, padding : padding + w]
-    return gx
+            gx[:, a : a + stride * oh : stride, b : b + stride * ow : stride] += g[a, b]
+    return gx[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 def _conv_forward(x, w, b, stride, padding):
     """Real cross-correlation of x (N, C, H, W) with w (O, C, kh, kw) plus an
-    optional bias (O,); returns (y, cols), cols being what backward needs."""
+    optional bias (O,); returns (y, rows), rows being the _im2col row matrix
+    that backward needs.  The GEMM multiplies w reordered to (O, kh*kw*C)
+    by rows.T, so y is an (N, O, OH, OW) view of an (O, N, OH, OW) array."""
     o, _, kh, kw = w.shape
-    cols, oh, ow = _im2col(x, kh, kw, stride, padding)
-    y = (w.reshape(o, -1) @ cols).reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
+    rows, oh, ow = _im2col(x, kh, kw, stride, padding)
+    y = w.transpose(0, 2, 3, 1).reshape(o, -1) @ rows.T
     if b is not None:
-        y = y + b[None, :, None, None]
-    return y, cols
+        y += b[:, None]
+    return y.reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3), rows
 
 
-def _conv_backward(grad_y, cols, w, x_shape, stride, padding):
+def _conv_backward(grad_y, rows, w, x_shape, stride, padding):
     """Gradients of _conv_forward; returns (gw, gb, gx)."""
-    o, _, kh, kw = w.shape
+    o, c, kh, kw = w.shape
     gm = grad_y.transpose(1, 0, 2, 3).reshape(o, -1)
-    gw = (gm @ cols.T).reshape(w.shape)
-    gx = _col2im(w.reshape(o, -1).T @ gm, x_shape, kh, kw, stride, padding)
+    gw = (gm @ rows).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+    # one (N*OH*OW, C) product per kernel tap keeps each col2im run C*OW long
+    grad_taps = gm.T @ w.transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
+    gx = _col2im(grad_taps, x_shape, kh, kw, stride, padding)
     return gw, gm.sum(axis=1), gx
 
 
 def hamilton_expand(banks):
     """Quaternion weight banks (4, q_out, q_in, ...) to the real weight
     (4*q_out, 4*q_in, ...) whose (o, o') block is the signed bank of
-    HAMILTON_ROWS[o][o']: the real layer the quaternion layer stands for."""
+    HAMILTON_ROWS[o][o']: the real layer the quaternion layer stands for,
+    with the input-channel axis innermost in memory as the conv reads it."""
     _, q_out, q_in, *rest = banks.shape
-    w = np.empty((4, q_out, 4, q_in, *rest), dtype=banks.dtype)
+    banks = np.moveaxis(banks, 2, -1)
+    w = np.empty((4, q_out, *rest, 4, q_in), dtype=banks.dtype)
     for o, row in enumerate(HAMILTON_ROWS):
         for o_in, (comp, sign) in enumerate(row):
-            w[o, :, o_in] = sign * banks[comp]
-    return w.reshape(4 * q_out, 4 * q_in, *rest)
+            w[o, ..., o_in, :] = sign * banks[comp]
+    return np.moveaxis(w.reshape(4 * q_out, *rest, 4 * q_in), -1, 1)
 
 
 def hamilton_fold(grad):
     """Adjoint of hamilton_expand: fold a real-weight gradient
     (4*q_out, 4*q_in, ...) back to the banks (4, q_out, q_in, ...)."""
     q_out, q_in = grad.shape[0] // 4, grad.shape[1] // 4
-    g = grad.reshape(4, q_out, 4, q_in, *grad.shape[2:])
-    banks = np.zeros((4, q_out, q_in, *grad.shape[2:]), dtype=grad.dtype)
+    rest = grad.shape[2:]
+    g = np.moveaxis(grad, 1, -1).reshape(4, q_out, *rest, 4, q_in)
+    banks = np.zeros((4, q_out, *rest, q_in), dtype=grad.dtype)
     for o, row in enumerate(HAMILTON_ROWS):
         for o_in, (comp, sign) in enumerate(row):
-            banks[comp] += sign * g[o, :, o_in]
-    return banks
+            banks[comp] += sign * g[o, ..., o_in, :]
+    return np.moveaxis(banks, -1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +210,12 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"conv2d expects (N, {self.c_in}, H, W), got {x.shape}"
             )
-        y, cols = _conv_forward(x, self.w, self.b, self.stride, self.padding)
-        ctx = {"cols": cols, "x_shape": x.shape} if record else None
+        y, rows = _conv_forward(x, self.w, self.b, self.stride, self.padding)
+        ctx = {"rows": rows, "x_shape": x.shape} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
-        gw, gb, gx = _conv_backward(grad_y, ctx["cols"], self.w, ctx["x_shape"],
+        gw, gb, gx = _conv_backward(grad_y, ctx["rows"], self.w, ctx["x_shape"],
                                     self.stride, self.padding)
         grads[(self.lid, "w")] += gw
         if self.has_bias:
@@ -290,14 +289,14 @@ class QConv2d(Layer):
         x2 = x.reshape(n, 4 * self.q_in, *x.shape[3:])
         wr = hamilton_expand(self.weights)
         b = self.bias.reshape(-1) if self.has_bias else None
-        y, cols = _conv_forward(x2, wr, b, self.stride, self.padding)
-        ctx = {"cols": cols, "w": wr, "x_shape": x2.shape} if record else None
+        y, rows = _conv_forward(x2, wr, b, self.stride, self.padding)
+        ctx = {"rows": rows, "w": wr, "x_shape": x2.shape} if record else None
         return y.reshape(n, 4, self.q_out, *y.shape[2:]), ctx
 
     def backward(self, grad_y, ctx, grads):
         n = grad_y.shape[0]
         g2 = grad_y.reshape(n, 4 * self.q_out, *grad_y.shape[3:])
-        gw, gb, gx = _conv_backward(g2, ctx["cols"], ctx["w"], ctx["x_shape"],
+        gw, gb, gx = _conv_backward(g2, ctx["rows"], ctx["w"], ctx["x_shape"],
                                     self.stride, self.padding)
         grads[(self.lid, "weights")] += hamilton_fold(gw)
         if self.has_bias:
@@ -336,8 +335,14 @@ def _bn_forward(x2, gamma, beta, rmean, rvar, eps, momentum, mode, record, updat
     else:
         mu, var = rmean, rvar
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
-    y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    if mode == "train" or record:
+        xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
+    if mode == "train":
+        y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    else:
+        # fixed statistics fold into one scale and shift per channel
+        scale = gamma * inv
+        y = x2 * scale[None, :, None, None] + (beta - mu * scale)[None, :, None, None]
     ctx = {"xhat": xhat, "inv": inv, "mode": mode} if record else None
     return y, ctx
 
@@ -562,28 +567,25 @@ class AvgPool2d(Layer):
         self.stride = int(stride) if stride is not None else self.window
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        h, w = x.shape[-2:]
-        _, oh, ow = self.out_shape((0, h, w))
-        x3 = x.reshape(-1, h, w)
-        y = np.zeros((x3.shape[0], oh, ow), dtype=x.dtype)
+        _, oh, ow = self.out_shape((0, *x.shape[-2:]))
+        y = np.zeros(x.shape[:-2] + (oh, ow), dtype=x.dtype)
         s = self.stride
         for a in range(self.window):
             for b in range(self.window):
-                y += x3[:, a : a + s * oh : s, b : b + s * ow : s]
+                y += x[..., a : a + s * oh : s, b : b + s * ow : s]
         y /= self.window * self.window
-        ctx = {"x_shape": x.shape, "ohw": (oh, ow)} if record else None
-        return y.reshape(x.shape[:-2] + (oh, ow)), ctx
+        ctx = {"x_shape": x.shape} if record else None
+        return y, ctx
 
     def backward(self, grad_y, ctx, grads):
-        h, w = ctx["x_shape"][-2:]
-        oh, ow = ctx["ohw"]
-        g3 = grad_y.reshape(-1, oh, ow) / (self.window * self.window)
-        gx = np.zeros((g3.shape[0], h, w), dtype=grad_y.dtype)
+        oh, ow = grad_y.shape[-2:]
+        g = grad_y / (self.window * self.window)
+        gx = np.zeros(ctx["x_shape"], dtype=grad_y.dtype)
         s = self.stride
         for a in range(self.window):
             for b in range(self.window):
-                gx[:, a : a + s * oh : s, b : b + s * ow : s] += g3
-        return gx.reshape(ctx["x_shape"])
+                gx[..., a : a + s * oh : s, b : b + s * ow : s] += g
+        return gx
 
     out_shape = MaxPool2d.out_shape
 
@@ -1137,7 +1139,12 @@ def save_checkpoint(model: ModelGraph, path, optimizer=None):
 
 
 def load_checkpoint(path):
-    """Read a QPRS file; returns (model, optimizer_state dict or None)."""
+    """Read a QPRS file; returns (model, optimizer_state dict or None).
+
+    A header that does not decode, or whose model description, payload
+    table or optimizer table is malformed or inconsistent, raises
+    FormatError; a file that ends early raises TruncationError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
@@ -1148,20 +1155,31 @@ def load_checkpoint(path):
     hlen = struct.unpack("<Q", raw[8:16])[0]
     if len(raw) < 16 + hlen:
         raise TruncationError(f"{path}: truncated header")
-    header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    model = ModelGraph.from_description(header["model"])
+    try:
+        return _read_checkpoint(raw, 16 + hlen, path)
+    except FormatError:
+        raise
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise FormatError(
+            f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})"
+        ) from None
 
-    offset = 16 + hlen
-    by_lid = {layer.lid: layer for layer in model.walk()}
-    for entry in header["payload"]:
-        layer = by_lid[entry["lid"]]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
+
+def _read_checkpoint(raw, offset, path):
+    header = json.loads(raw[16:offset].decode("utf-8"))
+    model = ModelGraph.from_description(header["model"])
+    model.layer_shapes()  # the described layers must chain
+    arrays = list(_payload_arrays(model))
+    expected = [{"lid": layer.lid, "name": name, "shape": list(arr.shape)}
+                for layer, name, arr in arrays]
+    if header["payload"] != expected:
+        raise FormatError(f"{path}: payload table does not match the model")
+    for layer, name, arr in arrays:
+        nbytes = 4 * arr.size
         if offset + nbytes > len(raw):
-            raise TruncationError(f"{path}: payload ends before {entry['name']}")
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype="<f4").reshape(shape)
-        layer.set_array(entry["name"], arr.copy())
+            raise TruncationError(f"{path}: payload ends before {name}")
+        layer.set_array(name, np.frombuffer(
+            raw[offset : offset + nbytes], dtype="<f4").reshape(arr.shape).copy())
         offset += nbytes
 
     opt_state = None
@@ -1170,6 +1188,8 @@ def load_checkpoint(path):
         slots = {}
         for slot in meta["slots"]:
             shape = tuple(slot["shape"])
+            if any(d < 0 for d in shape):
+                raise FormatError(f"{path}: negative optimizer slot shape {shape}")
             nbytes = 4 * int(np.prod(shape)) if shape else 4
             if offset + nbytes > len(raw):
                 raise TruncationError(f"{path}: truncated optimizer state")

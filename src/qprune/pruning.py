@@ -311,26 +311,40 @@ def plan_to_text(plan: PrunePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plan_numbers(text, kind, what):
+    try:
+        return [kind(tok) for tok in text.split()]
+    except ValueError:
+        raise FormatError(f"QPLAN {what} {text.strip()!r} is not a list of numbers") from None
+
+
 def plan_from_text(text: str) -> PrunePlan:
+    """Parse a QPLAN document; any malformed line raises FormatError."""
     lines = [ln.rstrip("\n") for ln in text.strip().splitlines()]
     if not lines or lines[0] != "QPLAN 1":
         raise FormatError("not a QPLAN document")
     if lines[-1] != "end":
         raise FormatError("QPLAN document missing 'end' terminator")
-    if not lines[1].startswith("method: ") or not lines[2].startswith("ratio: "):
+    if (len(lines) < 4 or not lines[1].startswith("method: ")
+            or not lines[2].startswith("ratio: ")):
         raise FormatError("QPLAN header must carry method and ratio")
-    plan = PrunePlan(method=lines[1][8:].strip(),
-                     ratio=float(lines[2][7:]))
-    i = 3
-    while i < len(lines) - 1:
-        if not lines[i].startswith("layer "):
-            raise FormatError(f"expected 'layer <n>', got {lines[i]!r}")
-        idx = int(lines[i].split()[1])
-        scores = np.array([float(s) for s in lines[i + 1][8:].split()])
-        removed_txt = lines[i + 2][9:].split()
-        removed = [int(s) for s in removed_txt]
-        plan.entries.append(PlanEntry(idx, scores, removed))
-        i += 3
+    ratio = _plan_numbers(lines[2][7:], float, "ratio")
+    if len(ratio) != 1:
+        raise FormatError(f"QPLAN ratio {lines[2][7:]!r} is not one number")
+    plan = PrunePlan(method=lines[1][8:].strip(), ratio=ratio[0])
+    body = lines[3:-1]
+    if len(body) % 3:
+        raise FormatError("QPLAN layer entries need 'layer', 'scores' and 'removed' lines")
+    for i in range(0, len(body), 3):
+        head, scores, removed = body[i : i + 3]
+        idx = _plan_numbers(head[6:], int, "layer index") if head.startswith("layer ") else []
+        if len(idx) != 1:
+            raise FormatError(f"expected 'layer <n>', got {head!r}")
+        if not scores.startswith("scores:") or not removed.startswith("removed:"):
+            raise FormatError(f"layer {idx[0]}: expected 'scores:' and 'removed:' lines")
+        plan.entries.append(PlanEntry(
+            idx[0], np.array(_plan_numbers(scores[7:], float, "scores")),
+            _plan_numbers(removed[8:], int, "removed indices")))
     return plan
 
 
@@ -340,8 +354,12 @@ def save_plan(plan: PrunePlan, path):
 
 
 def load_plan(path) -> PrunePlan:
-    with open(path) as fh:
-        return plan_from_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a QPLAN document") from None
+    return plan_from_text(text)
 
 
 # ---------------------------------------------------------------------------

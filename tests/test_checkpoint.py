@@ -1,5 +1,7 @@
 """Checkpoint format tests: bit-exact round trips and error handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,8 +78,6 @@ class TestCheckpointErrors:
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
-        import struct
-
         path = tmp_path / "v.qprs"
         path.write_bytes(b"QPRS" + struct.pack("<I", 99) + struct.pack("<Q", 0))
         with pytest.raises(FormatError):
@@ -98,4 +98,36 @@ class TestCheckpointErrors:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(TruncationError):
+            load_checkpoint(path)
+
+    def test_header_byte_flips_raise_format_error(self, tmp_path):
+        # a flipped header byte either still loads or is a FormatError,
+        # never a decode, JSON or lookup error
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=10)
+        opt = OptimState(model, "adam", lr=1e-3)
+        path = tmp_path / "c.qprs"
+        save_checkpoint(model, path, optimizer=opt)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        rng = np.random.default_rng(0)
+        bad = tmp_path / "flipped.qprs"
+        for pos, mask in zip(rng.integers(16, 16 + hlen, 200), rng.integers(1, 256, 200)):
+            buf = bytearray(raw)
+            buf[pos] ^= int(mask)
+            bad.write_bytes(bytes(buf))
+            try:
+                load_checkpoint(bad)
+            except FormatError:
+                pass
+
+    def test_payload_table_must_match_model(self, tmp_path):
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=11)
+        path = tmp_path / "p.qprs"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        # swap the shape of the first payload entry without changing lengths
+        swapped = raw.replace(b'"shape": [4, 4, 1, 3, 3]', b'"shape": [4, 1, 4, 3, 3]', 1)
+        assert swapped != raw
+        path.write_bytes(swapped)
+        with pytest.raises(FormatError, match="payload table"):
             load_checkpoint(path)

@@ -153,6 +153,17 @@ class TestPruneCommand:
         save_checkpoint(apply_prune(model, plan), replayed)
         assert replayed.read_bytes() == (out1 / "pruned.qprs").read_bytes()
 
+    def test_corrupt_checkpoint_one_line_error(self, tmp_path, trained, capsys):
+        raw = bytearray((trained / "model.qprs").read_bytes())
+        raw[16] ^= 0xFF  # the first byte of the JSON header
+        bad = tmp_path / "bad.qprs"
+        bad.write_bytes(bytes(raw))
+        code = main(["prune", "--checkpoint", str(bad), "--method", "l1",
+                     "--ratio", "0.5", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_finetune_path(self, tmp_path, trained, data_dir):
         out = tmp_path / "ft"
         code = main(["prune", "--checkpoint", str(trained / "model.qprs"),

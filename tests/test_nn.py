@@ -104,6 +104,64 @@ class TestConv2d:
         want = loop_conv2d(x, layer.w, layer.b, stride, pad)
         np.testing.assert_allclose(got, want, rtol=1e-5)
 
+    @pytest.mark.parametrize("kernel,stride,pad", [
+        ((1, 8), 1, 2), ((4, 4), 3, 0), ((2, 3), 3, 2), ((4, 4), 1, 2), ((2, 3), 2, 0),
+    ])
+    def test_kernel_shapes_match_nested_loop_oracle(self, kernel, stride, pad):
+        rng = np.random.default_rng(3)
+        layer = Conv2d(3, 5, kernel, stride=stride, padding=pad, dtype=np.float64)
+        layer.w = rng.normal(size=layer.w.shape)
+        layer.b = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(2, 3, 7, 9))
+        want = loop_conv2d(x, layer.w, layer.b, stride, pad)
+        np.testing.assert_allclose(real_conv2d(layer, x), want, rtol=1e-5)
+
+    def test_channel_major_input(self):
+        # conv outputs are (N, C, H, W) views of (C, N, H, W) arrays
+        rng = np.random.default_rng(4)
+        layer = Conv2d(4, 3, (3, 3), padding=1, dtype=np.float64)
+        layer.w = rng.normal(size=layer.w.shape)
+        layer.b = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(4, 2, 6, 5)).transpose(1, 0, 2, 3)
+        assert not x.flags.c_contiguous
+        got = real_conv2d(layer, x)
+        np.testing.assert_array_equal(got, real_conv2d(layer, np.ascontiguousarray(x)))
+        np.testing.assert_allclose(got, loop_conv2d(x, layer.w, layer.b, 1, 1), rtol=1e-5)
+
+    @pytest.mark.parametrize("kernel,stride,pad", [
+        ((3, 3), 1, 1), ((2, 3), 3, 2), ((4, 4), 2, 0), ((1, 8), 1, 2),
+    ])
+    def test_backward_matches_loop_central_difference(self, kernel, stride, pad):
+        # loss = sum(G * conv(x, w)): its gradients by central differences
+        # of the nested-loop oracle, against Conv2d.backward
+        rng = np.random.default_rng(5)
+        layer = Conv2d(3, 4, kernel, stride=stride, padding=pad, dtype=np.float64)
+        layer.lid = 0
+        layer.w = rng.normal(size=layer.w.shape)
+        layer.b = rng.normal(size=layer.b.shape)
+        x = rng.normal(size=(2, 3, 6, 9))
+        y, ctx = layer.forward(x, record=True)
+        g = rng.normal(size=y.shape)
+        grads = {(0, "w"): np.zeros_like(layer.w), (0, "b"): np.zeros_like(layer.b)}
+        gx = layer.backward(g, ctx, grads)
+
+        def loss(xv, wv):
+            return float(np.sum(g * loop_conv2d(xv, wv, layer.b, stride, pad)))
+
+        h = 1e-3
+        for arr, analytic, pick in ((x, gx, rng.choice(x.size, 40, replace=False)),
+                                    (layer.w, grads[(0, "w")],
+                                     rng.choice(layer.w.size, 40, replace=False))):
+            for flat in pick:
+                plus, minus = arr.copy(), arr.copy()
+                plus.flat[flat] += h
+                minus.flat[flat] -= h
+                if arr is x:
+                    fd = (loss(plus, layer.w) - loss(minus, layer.w)) / (2 * h)
+                else:
+                    fd = (loss(x, plus) - loss(x, minus)) / (2 * h)
+                assert analytic.flat[flat] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
     def test_shape_error(self):
         layer = Conv2d(2, 3, (3, 3))
         with pytest.raises(ShapeError):
@@ -406,3 +464,19 @@ def test_qconv_36_parameters():
     # quaternion equivalent: 4 banks of 9, four times fewer
     layer = QConv2d(1, 1, (3, 3), bias=False)
     assert sum(a.size for _, a in layer.params()) == 36
+
+
+@pytest.mark.parametrize("name", ["qcnn-mini", "qresnet-mini", "cnn-mini"])
+def test_eval_forward_logits_equal_inference_bit_for_bit(name):
+    # a recording eval pass must compute the same logits as inference,
+    # although only the recording pass keeps what backward needs
+    from qprune.autodiff import forward, inference
+    from qprune.models import build_model
+    from qprune.nn import model_input
+
+    model = build_model(name, 4, (4, 32, 16), seed=1)
+    x = model_input(model, np.random.default_rng(2).normal(
+        size=(8, 4, 1, 32, 16)).astype(np.float32))
+    inference(model, x, mode="train")  # move BN running stats off (0, 1)
+    z, _ = forward(model, x, mode="eval")
+    np.testing.assert_array_equal(z, inference(model, x, mode="eval"))

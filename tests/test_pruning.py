@@ -1,11 +1,14 @@
 """Pruning tests: importance-score oracles, plan construction, surgery."""
 
+import string
+
 import numpy as np
 import pytest
 
 from qprune.autodiff import TrainConfig, inference
 from qprune.exceptions import (
     DegenerateLayerError,
+    FormatError,
     PlanError,
     SurgeryError,
 )
@@ -28,6 +31,7 @@ from qprune.pruning import (
     geometric_median,
     gm_importance,
     l1_importance,
+    load_plan,
     op_importance,
     plan_from_text,
     plan_to_text,
@@ -419,6 +423,35 @@ class TestPlanSerialization:
     def test_bad_document(self):
         with pytest.raises(Exception):
             plan_from_text("not a plan\n")
+
+    def test_char_flips_raise_format_error(self):
+        # one flipped character either still parses or is a FormatError,
+        # never a bare parse error from int(), float() or a missing line
+        text = plan_to_text(build_prune_plan(chain_model(seed=16), "l1", 0.5))
+        rng = np.random.default_rng(0)
+        for pos, ch in zip(rng.integers(0, len(text), 200),
+                           rng.choice(list(string.printable), 200)):
+            try:
+                plan_from_text(text[:pos] + ch + text[pos + 1:])
+            except FormatError:
+                pass
+
+    @pytest.mark.parametrize("doc", [
+        "QPLAN 1\nmethod: l1\nratio: x\nend\n",
+        "QPLAN 1\nmethod: l1\nratio: 0.5\nlayer 0\nscores: 1 2\nend\n",
+        "QPLAN 1\nmethod: l1\nratio: 0.5\nlayer\nscores: 1\nremoved: \nend\n",
+        "QPLAN 1\nmethod: l1\nratio: 0.5\nlayer 0\nscores: 1 z\nremoved: \nend\n",
+        "QPLAN 1\nmethod: l1\nratio: 0.5\nlayer 0\nscores: 1\nremoved: 0.5\nend\n",
+    ])
+    def test_malformed_lines_are_format_errors(self, doc):
+        with pytest.raises(FormatError):
+            plan_from_text(doc)
+
+    def test_undecodable_file_is_format_error(self, tmp_path):
+        path = tmp_path / "bin.qplan"
+        path.write_bytes(b"QPLAN 1\n\xff\xfe\nend\n")
+        with pytest.raises(FormatError):
+            load_plan(path)
 
 
 class TestFinetune:
