@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DivergenceError, ShapeError
+from .exceptions import ConfigError, DivergenceError, ShapeError
 from .nn import ModelGraph, model_input
 
 
@@ -198,7 +198,7 @@ class OptimState:
     def __init__(self, model: ModelGraph, kind="sgd", lr=0.01,
                  beta1=0.9, beta2=0.999, eps=1e-8):
         if kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {kind!r}")
+            raise ConfigError(f"unknown optimizer {kind!r}")
         self.model = model
         self.kind = kind
         self.lr = float(lr)
@@ -311,8 +311,14 @@ class TrainResult:
     iterations_run: int = 0
 
 
+def _check_batch_size(batch_size):
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be positive, got {batch_size}")
+
+
 def evaluate_accuracy(model, features, labels, batch_size=64):
     """Top-1 accuracy for single-label data (integer labels)."""
+    _check_batch_size(batch_size)
     n = features.shape[0]
     correct = 0
     for start in range(0, n, batch_size):
@@ -327,6 +333,7 @@ def evaluate_metric(model, features, labels, task, batch_size=64):
         return evaluate_accuracy(model, features, labels, batch_size)
     from .metrics import mean_average_precision  # local import, avoids a cycle
 
+    _check_batch_size(batch_size)
     n = features.shape[0]
     scores = []
     for start in range(0, n, batch_size):
@@ -360,8 +367,7 @@ def train_loop(model, features, labels, config: TrainConfig,
     task = model.task
     n = features.shape[0]
     rng = np.random.default_rng(config.seed)
-    if config.optimizer not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
+    _check_batch_size(config.batch_size)
     opt = OptimState(model, config.optimizer, config.lr)
 
     if task == "single" and labels.ndim == 1:

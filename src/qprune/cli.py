@@ -5,112 +5,155 @@ no timestamps, so re-running a command reproduces its outputs byte for
 byte (timing values only appear when explicitly requested).  Exit codes:
 0 success, 1 runtime failure, 2 usage or config error.
 
-Config files are flat ``key=value`` text with ``#`` comments; keys use the
-long flag names with underscores.  Command-line flags override file values.
+Each command's options are declared once, in ``COMMANDS``.  Config files
+are flat ``key=value`` text with ``#`` comments; keys are the long flag
+names with underscores, and a file value is cast and checked like the same
+flag.  Command-line flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff, distill, features, metrics, models, nn, pruning
 from .exceptions import ConfigError, QPruneError
 
-TRAIN_KEYS = {
-    "model": str, "data": str, "val_fraction": float, "iterations": int,
-    "lr": float, "batch_size": int, "optimizer": str, "mixup": bool,
-    "target_metric": float, "seed": int, "out": str,
-}
-PRUNE_KEYS = {
-    "checkpoint": str, "method": str, "ratio": float, "layers": str,
-    "data": str, "finetune_iterations": int, "lr": float,
-    "batch_size": int, "optimizer": str, "val_fraction": float,
-    "seed": int, "out": str,
-}
-DISTILL_KEYS = {
-    "teacher": str, "plan": str, "data": str, "alpha": float,
-    "temperature": float, "t2_scaling": bool, "iterations": int,
-    "lr": float, "batch_size": int, "optimizer": str,
-    "val_fraction": float, "seed": int, "out": str,
-}
-EVAL_KEYS = {
-    "checkpoint": str, "data": str, "method": str, "ratio": float,
-    "time_repeats": int, "batch_size": int, "seed": int, "out": str,
-}
-COMPARE_KEYS = {"inputs": str, "out": str, "seed": int}
-FEATURES_KEYS = {
-    "mode": str, "classes": int, "samples": int, "frames": int, "bins": int,
-    "multilabel": bool, "input": str, "allow_other_rate": bool,
-    "seed": int, "out": str,
-}
 
-_KEYS = {"train": TRAIN_KEYS, "prune": PRUNE_KEYS, "distill": DISTILL_KEYS,
-         "eval": EVAL_KEYS, "compare": COMPARE_KEYS, "features": FEATURES_KEYS}
-
-_DEFAULTS = {
-    "seed": 0, "iterations": 500, "lr": 1e-3, "batch_size": 16,
-    "optimizer": "adam", "val_fraction": 0.0, "mixup": False,
-    "target_metric": None, "model": "qcnn-mini", "method": "op",
-    "ratio": 0.5, "layers": "default", "finetune_iterations": 0,
-    "alpha": 0.5, "temperature": 2.0, "t2_scaling": False,
-    "time_repeats": 0, "frames": 32, "bins": 16, "multilabel": False,
-    "classes": 4, "samples": 200, "allow_other_rate": False,
-}
+class Opt(NamedTuple):
+    """One option of one command: a ``--flag`` and a config-file key."""
+    type: type = str
+    default: object = None
+    choices: tuple = ()
+    help: str | None = None
+    positional: bool = False
 
 
-def _parse_config_file(path, known):
+_SHARED = {"seed": Opt(int, 0), "out": Opt(help="output directory")}
+_TRAINING = {
+    **_SHARED,
+    "data": Opt(),
+    "lr": Opt(float, 1e-3),
+    "batch_size": Opt(int, 16),
+    "optimizer": Opt(str, "adam", ("sgd", "adam")),
+    "val_fraction": Opt(float, 0.0),
+}
+_ITERATIONS = Opt(int, 500)
+
+# command -> (help, option table); ``cmd_<command>`` runs it
+COMMANDS = {
+    "train": ("train a model spec on a feature dataset", {
+        **_TRAINING,
+        "data": Opt(help="feature dataset directory"),
+        "model": Opt(str, "qcnn-mini", models.MODEL_NAMES),
+        "iterations": _ITERATIONS,
+        "target_metric": Opt(float),
+        "mixup": Opt(bool, False),
+    }),
+    "prune": ("score, prune, and optionally fine-tune", {
+        **_TRAINING,
+        "data": Opt(help="dataset for fine-tuning"),
+        "checkpoint": Opt(),
+        "method": Opt(str, "op", pruning.METHODS),
+        "ratio": Opt(float, 0.5),
+        "layers": Opt(str, "default",
+                      help="comma-separated layer indices or 'default'"),
+        "finetune_iterations": Opt(int, 0),
+    }),
+    "distill": ("train a student against a teacher", {
+        **_TRAINING,
+        "teacher": Opt(),
+        "plan": Opt(help="prune plan defining the student shape"),
+        "alpha": Opt(float, 0.5),
+        "temperature": Opt(float, 2.0),
+        "t2_scaling": Opt(bool, False),
+        "iterations": _ITERATIONS,
+    }),
+    "eval": ("evaluate a checkpoint on a dataset", {
+        **_SHARED,
+        "checkpoint": Opt(),
+        "data": Opt(),
+        "method": Opt(str, "", help="label for the report row"),
+        "ratio": Opt(float, 0.0, help="label for the report row"),
+        "time_repeats": Opt(int, 0),
+        "batch_size": _TRAINING["batch_size"],
+    }),
+    "compare": ("merge eval CSVs into one table", {
+        **_SHARED,
+        "inputs": Opt(help="comma-separated eval CSV paths"),
+    }),
+    "features": ("build feature datasets", {
+        **_SHARED,
+        "mode": Opt(str, None, ("synth", "wav"), positional=True),
+        "classes": Opt(int, 4),
+        "samples": Opt(int, 200),
+        "frames": Opt(int, 32),
+        "bins": Opt(int, 16),
+        "multilabel": Opt(bool, False),
+        "input": Opt(help="wav file or directory"),
+        "allow_other_rate": Opt(bool, False),
+    }),
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _cast(opt, raw, where):
+    """The one conversion of a flag or config-file string to a value."""
+    if opt.type is bool:
+        if raw.lower() not in ("true", "false", "1", "0"):
+            raise ConfigError(f"{where}: boolean expected, got {raw!r}")
+        return raw.lower() in ("true", "1")
+    try:
+        value = opt.type(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse {raw!r}") from None
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(f"{where}: {raw!r} is not one of "
+                          f"{', '.join(opt.choices)}")
+    return value
+
+
+def _parse_config_file(path, table):
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
     values = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in table:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = known[key]
-        if caster is bool:
-            if raw.lower() not in ("true", "false", "1", "0"):
-                raise ConfigError(f"{path}:{lineno}: boolean expected for {key}")
-            values[key] = raw.lower() in ("true", "1")
-        else:
-            try:
-                values[key] = caster(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: cannot parse {key}={raw!r}"
-                ) from None
+        values[key] = _cast(table[key], raw, f"{path}:{lineno}: {key}")
     return values
 
 
-def _merge(args, command):
-    known = _KEYS[command]
-    file_values = {}
-    if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.is_file():
-            raise ConfigError(f"config file not found: {cfg_path}")
-        file_values = _parse_config_file(cfg_path, known)
-    merged = {}
-    for key in known:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in file_values:
-            merged[key] = file_values[key]
+def _merge(args, table):
+    """Flags override config-file values, which override table defaults."""
+    file_values = _parse_config_file(args.config, table) if args.config else {}
+    cfg = {}
+    for name, opt in table.items():
+        raw = getattr(args, name)
+        if raw is not None:
+            cfg[name] = _cast(opt, raw, name if opt.positional else _flag(name))
         else:
-            merged[key] = _DEFAULTS.get(key)
-    return merged
+            cfg[name] = file_values.get(name, opt.default)
+    return cfg
 
 
 def _require_file(path, what):
-    if path is None:
+    if not path:
         raise ConfigError(f"missing required {what}")
     p = Path(path)
     if not p.exists():
@@ -119,24 +162,23 @@ def _require_file(path, what):
 
 
 def _out_dir(cfg):
-    if not cfg.get("out"):
+    if not cfg["out"]:
         raise ConfigError("missing required --out directory")
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_data(cfg, quiet=False):
-    data_dir = _require_file(cfg.get("data"), "dataset directory")
+def _load_data(cfg):
+    data_dir = _require_file(cfg["data"], "dataset directory")
     ds = features.load_dataset(data_dir)
-    if cfg.get("val_fraction"):
+    if cfg["val_fraction"]:
         train_ds, val_ds = features.split_dataset(ds, cfg["val_fraction"],
                                                   seed=cfg["seed"])
     else:
         train_ds, val_ds = ds, None
-    if not quiet:
-        print(f"dataset: {len(ds)} samples, {ds.num_classes} classes, "
-              f"task={ds.task}")
+    print(f"dataset: {len(ds)} samples, {ds.num_classes} classes, "
+          f"task={ds.task}")
     return train_ds, val_ds
 
 
@@ -148,17 +190,12 @@ def _write_train_log(path, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _train_config(cfg, ds, **overrides):
-    kwargs = dict(
-        iterations=cfg.get("iterations", 500), lr=cfg.get("lr", 1e-3),
-        batch_size=cfg.get("batch_size", 16),
-        optimizer=cfg.get("optimizer", "adam"),
-        seed=cfg["seed"], loss="bce" if ds.task == "multi" else "ce",
-        eval_every=50, target_metric=cfg.get("target_metric"),
-        use_mixup=bool(cfg.get("mixup")),
-    )
-    kwargs.update(overrides)
-    return autodiff.TrainConfig(**kwargs)
+def _train_config(cfg, ds, **command_fields):
+    return autodiff.TrainConfig(
+        lr=cfg["lr"], batch_size=cfg["batch_size"],
+        optimizer=cfg["optimizer"], seed=cfg["seed"],
+        loss="bce" if ds.task == "multi" else "ce", eval_every=50,
+        **command_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +211,9 @@ def cmd_train(cfg):
                                input_shape, seed=cfg["seed"],
                                task=train_ds.task)
     rows = []
-    tc = _train_config(cfg, train_ds)
+    tc = _train_config(cfg, train_ds, iterations=cfg["iterations"],
+                       target_metric=cfg["target_metric"],
+                       use_mixup=cfg["mixup"])
     autodiff.train_loop(model, train_ds.features, train_ds.labels, tc,
                         val_features=None if val_ds is None else val_ds.features,
                         val_labels=None if val_ds is None else val_ds.labels,
@@ -189,7 +228,7 @@ def cmd_train(cfg):
 
 
 def _parse_layers(spec_text, model):
-    if spec_text in (None, "", "default"):
+    if spec_text in ("", "default"):
         return None  # model's default prunable set
     try:
         return [int(tok) for tok in spec_text.split(",") if tok.strip()]
@@ -198,28 +237,24 @@ def _parse_layers(spec_text, model):
 
 
 def cmd_prune(cfg):
-    ckpt = _require_file(cfg.get("checkpoint"), "checkpoint")
+    ckpt = _require_file(cfg["checkpoint"], "checkpoint")
     out = _out_dir(cfg)
-    if cfg["method"] not in pruning.METHODS:
-        raise ConfigError(f"unknown method {cfg['method']!r}")
     model, _ = nn.load_checkpoint(ckpt)
     plan = pruning.build_prune_plan(model, cfg["method"], cfg["ratio"],
-                                    _parse_layers(cfg.get("layers"), model))
+                                    _parse_layers(cfg["layers"], model))
     pruned = pruning.apply_prune(model, plan)
     pruning.save_plan(plan, out / "plan.qplan")
     nn.save_checkpoint(pruned, out / "pruned.qprs")
 
     before = (metrics.count_params(model), metrics.count_macs(model))
     after = (metrics.count_params(pruned), metrics.count_macs(pruned))
-    report = (
-        f"model={model.name or 'model'} method={cfg['method']} "
-        f"p={cfg['ratio']:g} params {before[0]} -> {after[0]} "
-        f"macs {before[1]} -> {after[1]}\n"
-    )
+    report = (f"model={model.name or 'model'} method={cfg['method']} "
+              f"p={cfg['ratio']:g} params {before[0]} -> {after[0]} "
+              f"macs {before[1]} -> {after[1]}\n")
     (out / "prune_report.txt").write_text(report)
     print(report.strip())
 
-    if cfg.get("finetune_iterations"):
+    if cfg["finetune_iterations"]:
         train_ds, val_ds = _load_data(cfg)
         rows = []
         tc = _train_config(cfg, train_ds,
@@ -235,11 +270,11 @@ def cmd_prune(cfg):
 
 
 def cmd_distill(cfg):
-    teacher_path = _require_file(cfg.get("teacher"), "teacher checkpoint")
+    teacher_path = _require_file(cfg["teacher"], "teacher checkpoint")
     train_ds, val_ds = _load_data(cfg)
     out = _out_dir(cfg)
     teacher, _ = nn.load_checkpoint(teacher_path)
-    if cfg.get("plan"):
+    if cfg["plan"]:
         plan = pruning.load_plan(_require_file(cfg["plan"], "prune plan"))
         student = distill.make_student_from_plan(teacher, plan,
                                                  seed=cfg["seed"])
@@ -247,9 +282,9 @@ def cmd_distill(cfg):
         student = models.reinitialize(teacher, cfg["seed"])
     kd_cfg = distill.KDConfig(temperature=cfg["temperature"],
                               alpha=cfg["alpha"],
-                              t2_scaling=bool(cfg["t2_scaling"]))
+                              t2_scaling=cfg["t2_scaling"])
     kd_rows = []
-    tc = _train_config(cfg, train_ds)
+    tc = _train_config(cfg, train_ds, iterations=cfg["iterations"])
     distill.distill_train(teacher, student, train_ds, kd_cfg, tc,
                           val_dataset=val_ds, log_rows=kd_rows)
     nn.save_checkpoint(student, out / "student.qprs")
@@ -263,21 +298,19 @@ def cmd_distill(cfg):
 
 
 def cmd_eval(cfg):
-    ckpt = _require_file(cfg.get("checkpoint"), "checkpoint")
+    ckpt = _require_file(cfg["checkpoint"], "checkpoint")
     out = _out_dir(cfg)
     model, _ = nn.load_checkpoint(ckpt)
-    ds = features.load_dataset(_require_file(cfg.get("data"),
-                                             "dataset directory"))
+    ds = features.load_dataset(_require_file(cfg["data"], "dataset directory"))
     value = autodiff.evaluate_metric(model, ds.features, ds.labels, ds.task,
-                                     batch_size=cfg["batch_size"] or 64)
+                                     batch_size=cfg["batch_size"])
     rep = metrics.EvalReport(
-        model=model.name or "model", method=cfg.get("method") or "",
-        p=cfg.get("ratio") or 0.0,
+        model=model.name or "model", method=cfg["method"], p=cfg["ratio"],
         metric="mAP" if ds.task == "multi" else "accuracy",
         value=value, params=metrics.count_params(model),
         macs=metrics.count_macs(model),
     )
-    if cfg.get("time_repeats"):
+    if cfg["time_repeats"]:
         batch = nn.model_input(model, ds.features[: min(8, len(ds))]).astype(
             np.float32)
         rep.time_s = metrics.timed_inference(model, batch,
@@ -289,11 +322,9 @@ def cmd_eval(cfg):
 
 
 def cmd_compare(cfg):
-    if not cfg.get("inputs"):
-        raise ConfigError("compare needs --inputs CSV paths")
-    paths = [p for p in str(cfg["inputs"]).split(",") if p]
+    paths = [p for p in (cfg["inputs"] or "").split(",") if p]
     if not paths:
-        raise ConfigError("compare needs at least one input CSV")
+        raise ConfigError("compare needs --inputs CSV paths")
     for p in paths:
         _require_file(p, "eval CSV")
     out = _out_dir(cfg)
@@ -302,10 +333,8 @@ def cmd_compare(cfg):
         rows.extend(metrics.read_report_csv(p))
     rows.sort(key=lambda r: (r["model"], r["method"], float(r["p"]),
                              r["metric"]))
-    import csv as _csv
-
     with open(out / "compare.csv", "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=metrics.CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=metrics.CSV_COLUMNS)
         writer.writeheader()
         writer.writerows({k: r.get(k, "") for k in metrics.CSV_COLUMNS}
                          for r in rows)
@@ -327,56 +356,45 @@ def cmd_features(cfg):
         ds = features.synth_dataset(cfg["classes"], cfg["samples"],
                                     seed=cfg["seed"], frames=cfg["frames"],
                                     bins=cfg["bins"],
-                                    multilabel=bool(cfg["multilabel"]))
+                                    multilabel=cfg["multilabel"])
         features.save_dataset(ds, out)
         print(f"wrote {len(ds)} synthetic samples "
               f"({ds.num_classes} classes, task={ds.task}) to {out}")
         return 0
-    if cfg["mode"] == "wav":
-        src = _require_file(cfg.get("input"), "wav input")
-        if src.is_file():
-            wavs = [(src, 0)]
-            class_names = []
-        else:
-            class_dirs = sorted(d for d in src.iterdir() if d.is_dir())
-            if class_dirs:
-                class_names = [d.name for d in class_dirs]
-                wavs = [(w, g) for g, d in enumerate(class_dirs)
-                        for w in sorted(d.glob("*.wav"))]
-            else:
-                class_names = []
-                wavs = [(w, 0) for w in sorted(src.glob("*.wav"))]
-        if not wavs:
-            raise ConfigError(f"no .wav files under {src}")
-        lines = ["file,label"]
-        for n, (wav_path, label) in enumerate(wavs):
-            pcm, rate = features.read_wav(wav_path)
-            mel = features.wav_to_mel(
-                pcm, rate, allow_other_rate=bool(cfg["allow_other_rate"]))
-            q = features.encode_quaternion_features(mel)
-            fname = f"sample_{n:05d}.qfea"
-            features.save_feature_file(out / fname, q)
-            lines.append(f"{fname},{label}")
-        (out / "manifest.csv").write_text("\n".join(lines) + "\n")
-        num_classes = max(2, len(class_names)) if class_names else 2
-        (out / "dataset.txt").write_text(
-            f"num_classes={num_classes}\ntask=single\n")
-        if class_names:
-            (out / "classes.txt").write_text("\n".join(class_names) + "\n")
-        print(f"encoded {len(wavs)} clips to {out}")
-        return 0
-    raise ConfigError(f"unknown features mode {cfg['mode']!r}")
+    src = _require_file(cfg["input"], "wav input")
+    class_dirs = [] if src.is_file() else sorted(d for d in src.iterdir()
+                                                 if d.is_dir())
+    class_names = [d.name for d in class_dirs]
+    if src.is_file():
+        wavs = [(src, 0)]
+    elif class_dirs:
+        wavs = [(w, g) for g, d in enumerate(class_dirs)
+                for w in sorted(d.glob("*.wav"))]
+    else:
+        wavs = [(w, 0) for w in sorted(src.glob("*.wav"))]
+    if not wavs:
+        raise ConfigError(f"no .wav files under {src}")
+    lines = ["file,label"]
+    for n, (wav_path, label) in enumerate(wavs):
+        pcm, rate = features.read_wav(wav_path)
+        mel = features.wav_to_mel(
+            pcm, rate, allow_other_rate=cfg["allow_other_rate"])
+        q = features.encode_quaternion_features(mel)
+        fname = f"sample_{n:05d}.qfea"
+        features.save_feature_file(out / fname, q)
+        lines.append(f"{fname},{label}")
+    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+    (out / "dataset.txt").write_text(
+        f"num_classes={max(2, len(class_names))}\ntask=single\n")
+    if class_names:
+        (out / "classes.txt").write_text("\n".join(class_names) + "\n")
+    print(f"encoded {len(wavs)} clips to {out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_shared(sub):
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out", help="output directory")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -384,78 +402,20 @@ def build_parser():
         description="Quaternion CNN compression: pruning and distillation",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("train", help="train a model spec on a feature dataset")
-    _add_shared(p)
-    p.add_argument("--model", choices=models.MODEL_NAMES)
-    p.add_argument("--data", help="feature dataset directory")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--target-metric", dest="target_metric", type=float)
-    p.add_argument("--mixup", action="store_true", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("prune", help="score, prune, and optionally fine-tune")
-    _add_shared(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--method", choices=pruning.METHODS)
-    p.add_argument("--ratio", type=float)
-    p.add_argument("--layers", help="comma-separated layer indices or 'default'")
-    p.add_argument("--data", help="dataset for fine-tuning")
-    p.add_argument("--finetune-iterations", dest="finetune_iterations", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.set_defaults(func=cmd_prune)
-
-    p = subs.add_parser("distill", help="train a student against a teacher")
-    _add_shared(p)
-    p.add_argument("--teacher")
-    p.add_argument("--plan", help="prune plan defining the student shape")
-    p.add_argument("--data")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--t2-scaling", dest="t2_scaling", action="store_true",
-                   default=None)
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.set_defaults(func=cmd_distill)
-
-    p = subs.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    _add_shared(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--method", help="label for the report row")
-    p.add_argument("--ratio", type=float, help="label for the report row")
-    p.add_argument("--time-repeats", dest="time_repeats", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("compare", help="merge eval CSVs into one table")
-    _add_shared(p)
-    p.add_argument("--inputs", help="comma-separated eval CSV paths")
-    p.set_defaults(func=cmd_compare)
-
-    p = subs.add_parser("features", help="build feature datasets")
-    _add_shared(p)
-    p.add_argument("mode", choices=("synth", "wav"))
-    p.add_argument("--classes", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--multilabel", action="store_true", default=None)
-    p.add_argument("--input", help="wav file or directory")
-    p.add_argument("--allow-other-rate", dest="allow_other_rate",
-                   action="store_true", default=None)
-    p.set_defaults(func=cmd_features)
-
+    for command, (help_text, table) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        p.add_argument("--config", help="flat key=value config file")
+        # values stay strings here; _merge casts flags and file values alike
+        for name, opt in table.items():
+            kw = dict(help=opt.help, metavar="{" + ",".join(opt.choices) + "}"
+                      if opt.choices else None)
+            if opt.positional:
+                p.add_argument(name, **kw)
+            elif opt.type is bool:
+                p.add_argument(_flag(name), dest=name, action="store_const",
+                               const="true", **kw)
+            else:
+                p.add_argument(_flag(name), dest=name, **kw)
     return parser
 
 
@@ -466,14 +426,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _merge(args, args.command)
-        return int(args.func(cfg) or 0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        cfg = _merge(args, COMMANDS[args.command][1])
+        return int(globals()[f"cmd_{args.command}"](cfg) or 0)
     except (QPruneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

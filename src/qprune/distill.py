@@ -26,7 +26,7 @@ from .autodiff import (
     softmax,
     train_loop,
 )
-from .exceptions import ShapeError
+from .exceptions import ConfigError, ShapeError
 from .nn import ModelGraph, model_input
 from .pruning import PrunePlan, apply_prune
 
@@ -39,9 +39,9 @@ class KDConfig:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+            raise ConfigError(f"temperature must be positive, got {self.temperature}")
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
 
 
 def softened_softmax(z, temperature):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import FormatError, ShapeError, TruncationError
+from .exceptions import ConfigError, FormatError, ShapeError, TruncationError
 from .quaternion import QTensor
 
 SAMPLE_RATE = 32000
@@ -317,11 +317,15 @@ def synth_dataset(num_classes, num_samples, seed=0, frames=32, bins=16,
     differ by at most one.
     """
     if num_classes < 2:
-        raise ValueError("need at least 2 classes")
+        raise ConfigError(f"need at least 2 classes, got {num_classes}")
     if num_samples < num_classes:
-        raise ValueError("need at least one sample per class")
+        raise ConfigError(f"need at least one sample per class, got {num_samples} "
+                          f"for {num_classes} classes")
     if frames < 7:
-        raise ValueError("frames must be >= 7 for the quaternion encoding")
+        raise ConfigError(f"frames must be >= 7 for the quaternion encoding, "
+                          f"got {frames}")
+    if bins < 1:
+        raise ConfigError(f"need at least one mel bin, got {bins}")
     rng = np.random.default_rng(seed)
     spectral, temporal = _class_templates(num_classes, bins, frames, rng)
 
@@ -355,8 +359,13 @@ def synth_dataset(num_classes, num_samples, seed=0, frames=32, bins=16,
 
 def split_dataset(ds: LabeledDataset, val_fraction=0.2, seed=0):
     """Deterministic train/validation split preserving the task type."""
+    if not 0.0 < val_fraction < 1.0:
+        raise ConfigError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     n = len(ds)
     n_val = max(1, int(round(n * val_fraction)))
+    if n_val >= n:
+        raise ConfigError(f"val_fraction {val_fraction} leaves no training "
+                          f"samples out of {n}")
     idx = np.random.default_rng(seed).permutation(n)
     val, train = idx[:n_val], idx[n_val:]
     mk = lambda sel: LabeledDataset(ds.features[sel], ds.labels[sel],
@@ -403,36 +412,50 @@ def load_dataset(data_dir) -> LabeledDataset:
     lines = manifest.read_text().splitlines()
     if not lines or lines[0].strip() != "file,label":
         raise FormatError(f"{manifest}: expected 'file,label' header")
-    entries = []
-    for line in lines[1:]:
+    entries = []  # (manifest line number, file name, label text)
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        if "," not in line:
+            raise FormatError(f"{manifest}:{lineno}: expected 'file,label'")
         fname, label = line.split(",", 1)
-        entries.append((fname.strip(), label.strip()))
+        entries.append((lineno, fname.strip(), label.strip()))
     if not entries:
         raise FormatError(f"{manifest}: no samples listed")
 
-    task = meta.get("task", "multi" if ";" in entries[0][1] else "single")
+    task = meta.get("task", "multi" if ";" in entries[0][2] else "single")
+    class_ids = []
+    for lineno, _, label in entries:
+        parts = [g for g in label.split(";") if g] if task == "multi" else [label]
+        try:
+            class_ids.append([int(g) for g in parts])
+        except ValueError:
+            raise FormatError(f"{manifest}:{lineno}: label {label!r} is not "
+                              f"an integer class index") from None
+    try:
+        num_classes = int(meta.get("num_classes",
+                                   1 + max(max(ids, default=0) for ids in class_ids)))
+    except ValueError:
+        raise FormatError(f"{meta_file}: num_classes {meta['num_classes']!r} "
+                          f"is not an integer") from None
+    for (lineno, _, label), ids in zip(entries, class_ids):
+        if not all(0 <= g < num_classes for g in ids):
+            raise FormatError(f"{manifest}:{lineno}: label {label!r} outside "
+                              f"[0, {num_classes})")
+
     feats = []
-    raw_labels = []
-    for fname, label in entries:
+    for _, fname, _ in entries:
         obj = load_feature_file(root / fname)
         arr = obj.data if isinstance(obj, QTensor) else obj.values
         if arr.ndim == 2:
             arr = encode_quaternion_features(arr).data
         feats.append(arr.astype(np.float32))
-        raw_labels.append(label)
     feats = np.stack(feats)
 
     if task == "multi":
-        classes = sorted({int(g) for lab in raw_labels for g in lab.split(";") if g})
-        num_classes = int(meta.get("num_classes", max(classes) + 1))
-        labels = np.zeros((len(raw_labels), num_classes), dtype=np.int64)
-        for n, lab in enumerate(raw_labels):
-            for g in lab.split(";"):
-                if g:
-                    labels[n, int(g)] = 1
+        labels = np.zeros((len(entries), num_classes), dtype=np.int64)
+        for n, ids in enumerate(class_ids):
+            labels[n, ids] = 1
     else:
-        labels = np.array([int(lab) for lab in raw_labels], dtype=np.int64)
-        num_classes = int(meta.get("num_classes", labels.max() + 1))
+        labels = np.array([ids[0] for ids in class_ids], dtype=np.int64)
     return LabeledDataset(feats, labels, num_classes, task, meta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import inference
-from .exceptions import ShapeError, UndefinedMetricError
+from .exceptions import ConfigError, ShapeError, UndefinedMetricError
 from .nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -205,7 +205,7 @@ def timed_inference(model: ModelGraph, batch, repeats=5) -> float:
     process runs with (nothing here sets it), and meaningful numbers need a
     quiet machine."""
     if repeats < 3:
-        raise ValueError("need at least 3 repeats for a median")
+        raise ConfigError(f"need at least 3 repeats for a median, got {repeats}")
     inference(model, batch, mode="eval")  # warmup
     times = []
     for _ in range(repeats):

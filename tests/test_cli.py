@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qprune.cli import main
-from qprune.features import write_wav
+from qprune.features import save_dataset, synth_dataset, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +294,17 @@ class TestEvalCompareCommands:
         assert len(rows) == 3
         assert rows[1].split(",")[1] == "l1"  # sorted by method after model
 
+    def test_unlabelled_eval_has_empty_method_and_zero_p(self, tmp_path,
+                                                          trained, data_dir):
+        out = tmp_path / "plain"
+        assert main(["eval", "--checkpoint", str(trained / "model.qprs"),
+                     "--data", str(data_dir), "--out", str(out)]) == 0
+        from qprune.metrics import read_report_csv
+
+        row = read_report_csv(out / "eval.csv")[0]
+        assert row["method"] == "" and float(row["p"]) == 0.0
+        assert "method:" not in (out / "eval.txt").read_text()
+
     def test_compare_schema_mismatch(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,method\nqcnn-mini,op\n")
@@ -351,3 +362,113 @@ class TestConfigFile:
 
     def test_usage_error_exit_2(self):
         assert main(["train", "--model", "not-a-model"]) == 2
+
+    def test_file_values_equal_flag_values(self, tmp_path, data_dir, trained):
+        # every option set away from its default, once as flags and once
+        # through a config file: the artifacts must match byte for byte
+        settings = {
+            "train": {"model": "cnn-mini", "iterations": "6", "lr": "0.002",
+                      "batch_size": "8", "optimizer": "sgd",
+                      "val_fraction": "0.2", "mixup": "true",
+                      "target_metric": "0.5", "seed": "5"},
+            "prune": {"method": "gm", "ratio": "0.25", "layers": "12,16",
+                      "finetune_iterations": "4", "lr": "0.002",
+                      "batch_size": "8", "optimizer": "sgd",
+                      "val_fraction": "0.25", "seed": "6"},
+            "distill": {"alpha": "0.7", "temperature": "3",
+                        "t2_scaling": "true", "iterations": "4",
+                        "lr": "0.002", "batch_size": "12",
+                        "optimizer": "sgd", "val_fraction": "0.3",
+                        "seed": "7"},
+        }
+        teacher = str(trained / "model.qprs")
+        for source in ("flags", "file"):
+            run = tmp_path / source
+            inputs = {
+                "train": ["--data", str(data_dir)],
+                "prune": ["--checkpoint", teacher, "--data", str(data_dir)],
+                "distill": ["--teacher", teacher, "--data", str(data_dir),
+                            "--plan", str(run / "prune" / "plan.qplan")],
+            }
+            for command, values in settings.items():
+                argv = [command, *inputs[command], "--out", str(run / command)]
+                if source == "flags":
+                    for key, value in values.items():
+                        flag = "--" + key.replace("_", "-")
+                        argv += [flag] if value == "true" else [flag, value]
+                else:
+                    cfg = tmp_path / f"{command}.cfg"
+                    cfg.write_text("".join(f"{k}={v}\n"
+                                           for k, v in values.items()))
+                    argv += ["--config", str(cfg)]
+                assert main(argv) == 0
+        report = (tmp_path / "flags" / "prune" / "prune_report.txt").read_text()
+        assert "method=gm p=0.25" in report
+        flag_files = sorted(f for f in (tmp_path / "flags").rglob("*")
+                            if f.is_file())
+        assert len(flag_files) == 9
+        for f in flag_files:
+            twin = tmp_path / "file" / f.relative_to(tmp_path / "flags")
+            assert f.read_bytes() == twin.read_bytes(), f.name
+
+
+def _edit(name, old, new):
+    def edit(dataset_dir):
+        path = dataset_dir / name
+        path.write_text(path.read_text().replace(old, new, 1))
+    return edit
+
+
+def _config(text):
+    def write(tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+# (id, argv after the command's inputs, dataset edit, exit code); settings
+# errors exit 2 and file-format errors exit 1
+MALFORMED = [
+    ("distill_alpha", ["distill", "--alpha", "2"], None, 2),
+    ("distill_temperature", ["distill", "--temperature", "0"], None, 2),
+    ("eval_time_repeats", ["eval", "--time-repeats", "2"], None, 2),
+    ("eval_batch_size", ["eval", "--batch-size", "-1"], None, 2),
+    ("train_batch_size", ["train", "--batch-size", "0"], None, 2),
+    ("train_val_fraction", ["train", "--val-fraction", "1.5"], None, 2),
+    ("train_empty_split", ["train", "--val-fraction", "0.95"], None, 2),
+    ("features_classes", ["features", "synth", "--classes", "1"], None, 2),
+    ("features_frames", ["features", "synth", "--frames", "4"], None, 2),
+    ("features_bins", ["features", "synth", "--bins", "-3"], None, 2),
+    ("config_optimizer", ["train", "--config", _config("optimizer=rmsprop\n")],
+     None, 2),
+    ("manifest_no_comma", ["eval"],
+     _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea "), 1),
+    ("label_not_integer", ["eval"],
+     _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,x"), 1),
+    ("num_classes_not_integer", ["eval"],
+     _edit("dataset.txt", "num_classes=3", "num_classes=three"), 1),
+    ("label_out_of_range", ["eval"],
+     _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,7"), 1),
+]
+
+
+@pytest.mark.parametrize("argv,edit,code", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
+                                        capsys):
+    data = tmp_path / "data"
+    save_dataset(synth_dataset(3, 6, seed=0, frames=16, bins=16), data)
+    if edit is not None:
+        edit(data)
+    ckpt = str(trained / "model.qprs")
+    inputs = {"train": ["--data", str(data)],
+              "distill": ["--teacher", ckpt, "--data", str(data),
+                          "--iterations", "1"],
+              "eval": ["--checkpoint", ckpt, "--data", str(data)],
+              "features": []}
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    capsys.readouterr()
+    assert main([*argv, *inputs[argv[0]], "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
