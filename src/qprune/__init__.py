@@ -45,6 +45,7 @@ from .nn import (
     BatchNorm2d,
     Conv2d,
     Flatten,
+    FrozenModel,
     GlobalAvgPool2d,
     Linear,
     MaxPool2d,
@@ -55,6 +56,7 @@ from .nn import (
     ReLU,
     ResidualBlock,
     convert_architecture,
+    freeze,
     load_checkpoint,
     model_input,
     qconv2d,

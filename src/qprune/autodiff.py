@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError, ShapeError
-from .nn import ModelGraph, model_input
+from .nn import ModelGraph, freeze, model_input
 
 
 class Tape:
@@ -182,8 +182,9 @@ def backward(tape: Tape, loss: Loss):
     g = np.asarray(loss.dlogits, dtype=tape.output.dtype)
     if g.shape != tape.output.shape:
         raise ShapeError(f"loss gradient {g.shape} vs logits {tape.output.shape}")
-    for layer, ctx in reversed(tape.records):
-        g = layer.backward(g, ctx, grads)
+    for k, (layer, ctx) in reversed(list(enumerate(tape.records))):
+        # nothing reads the gradient of the model input
+        g = layer.backward(g, ctx if k else {**ctx, "input_grad": False}, grads)
     tape.grads = grads
     return grads
 
@@ -316,16 +317,19 @@ def _check_batch_size(batch_size):
         raise ConfigError(f"batch size must be positive, got {batch_size}")
 
 
+def _eval_logits(model, features, batch_size):
+    """(start, logits) per batch, from one frozen snapshot of the model."""
+    _check_batch_size(batch_size)
+    frozen = freeze(model)
+    for start in range(0, features.shape[0], batch_size):
+        yield start, frozen(model_input(model, features[start : start + batch_size]))
+
+
 def evaluate_accuracy(model, features, labels, batch_size=64):
     """Top-1 accuracy for single-label data (integer labels)."""
-    _check_batch_size(batch_size)
-    n = features.shape[0]
-    correct = 0
-    for start in range(0, n, batch_size):
-        xb = model_input(model, features[start : start + batch_size])
-        z = inference(model, xb, mode="eval")
-        correct += int((z.argmax(axis=1) == labels[start : start + batch_size]).sum())
-    return correct / n
+    correct = sum(int((z.argmax(axis=1) == labels[start : start + batch_size]).sum())
+                  for start, z in _eval_logits(model, features, batch_size))
+    return correct / features.shape[0]
 
 
 def evaluate_metric(model, features, labels, task, batch_size=64):
@@ -333,12 +337,7 @@ def evaluate_metric(model, features, labels, task, batch_size=64):
         return evaluate_accuracy(model, features, labels, batch_size)
     from .metrics import mean_average_precision  # local import, avoids a cycle
 
-    _check_batch_size(batch_size)
-    n = features.shape[0]
-    scores = []
-    for start in range(0, n, batch_size):
-        xb = model_input(model, features[start : start + batch_size])
-        scores.append(inference(model, xb, mode="eval"))
+    scores = [z for _, z in _eval_logits(model, features, batch_size)]
     return mean_average_precision(np.concatenate(scores), labels).value
 
 
@@ -368,6 +367,8 @@ def train_loop(model, features, labels, config: TrainConfig,
     n = features.shape[0]
     rng = np.random.default_rng(config.seed)
     _check_batch_size(config.batch_size)
+    if config.iterations < 0:
+        raise ConfigError(f"iterations must be non-negative, got {config.iterations}")
     opt = OptimState(model, config.optimizer, config.lr)
 
     if task == "single" and labels.ndim == 1:

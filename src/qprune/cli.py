@@ -237,6 +237,12 @@ def _parse_layers(spec_text, model):
 
 
 def cmd_prune(cfg):
+    # checked before any file is written; build_prune_plan raises PlanError
+    if not 0.0 <= cfg["ratio"] < 1.0:
+        raise ConfigError(f"--ratio must lie in [0, 1), got {cfg['ratio']:g}")
+    if cfg["finetune_iterations"] < 0:
+        raise ConfigError("--finetune-iterations must be non-negative, "
+                          f"got {cfg['finetune_iterations']}")
     ckpt = _require_file(cfg["checkpoint"], "checkpoint")
     out = _out_dir(cfg)
     model, _ = nn.load_checkpoint(ckpt)

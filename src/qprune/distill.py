@@ -21,13 +21,12 @@ from .autodiff import (
     TrainConfig,
     _check_tape,
     cross_entropy,
-    inference,
     kl_divergence,
     softmax,
     train_loop,
 )
 from .exceptions import ConfigError, ShapeError
-from .nn import ModelGraph, model_input
+from .nn import ModelGraph, freeze, model_input
 from .pruning import PrunePlan, apply_prune
 
 
@@ -105,9 +104,10 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
                   val_dataset=None, log_rows=None) -> ModelGraph:
     """Train the student against the frozen teacher with the KD loss.
 
-    The teacher runs one inference-mode forward per iteration; its
-    parameters and statistics are never updated.  ``log_rows``, when given,
-    receives (iteration, ce_term, kl_term, total) tuples.
+    The teacher is frozen once per run and runs one eval-mode forward per
+    iteration; its parameters and statistics are never updated.
+    ``log_rows``, when given, receives (iteration, ce_term, kl_term, total)
+    tuples.
     """
     if teacher.num_classes != student.num_classes:
         raise ShapeError(
@@ -117,10 +117,11 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
     feats = dataset.features
     labels = dataset.labels
     kd_rows = [] if log_rows is None else log_rows
+    frozen_teacher = freeze(teacher)
 
     def loss_fn(z, yb, tape, idx):
         xb_teacher = model_input(teacher, feats[idx]).astype(np.float32, copy=False)
-        z_t = inference(teacher, xb_teacher, mode="eval")
+        z_t = frozen_teacher(xb_teacher)
         loss = kd_total_loss(z, z_t, yb, cfg, tape)
         kd_rows.append((len(kd_rows) + 1, loss.ce, loss.kl, float(loss)))
         return loss

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import inference
-from .exceptions import ConfigError, ShapeError, UndefinedMetricError
+from .exceptions import ConfigError, FormatError, ShapeError, UndefinedMetricError
 from .nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -37,6 +36,7 @@ from .nn import (
     ReLU,
     ResidualBlock,
     conv_output_hw,
+    freeze,
 )
 
 CSV_COLUMNS = ("model", "method", "p", "metric", "value", "params", "macs",
@@ -93,7 +93,16 @@ def read_report_csv(path):
         for col in CSV_COLUMNS:
             if col not in reader.fieldnames:
                 raise ShapeError(f"{path}: missing column {col!r}")
-        return list(reader)
+        rows = list(reader)
+    for i, row in enumerate(rows, start=2):
+        for col in ("p", "value", "params", "macs", "time_s"):
+            try:
+                if row[col] or col != "time_s":  # time_s may be empty
+                    float(row[col])
+            except (TypeError, ValueError):
+                raise FormatError(f"{path}: line {i}: {col} {row[col]!r} "
+                                  "is not a number") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +209,17 @@ def count_macs(model: ModelGraph, input_shape=None) -> int:
 
 
 def timed_inference(model: ModelGraph, batch, repeats=5) -> float:
-    """Median wall-clock seconds of repeated eval-mode forward passes; one
-    warmup pass is excluded.  The passes use whatever BLAS thread count the
-    process runs with (nothing here sets it), and meaningful numbers need a
-    quiet machine."""
+    """Median wall-clock seconds of repeated forward passes of the frozen
+    model (see ``nn.freeze``); freezing and one warmup pass are excluded.
+    The passes use whatever BLAS thread count the process runs with
+    (nothing here sets it), and meaningful numbers need a quiet machine."""
     if repeats < 3:
         raise ConfigError(f"need at least 3 repeats for a median, got {repeats}")
-    inference(model, batch, mode="eval")  # warmup
+    frozen = freeze(model)
+    frozen(batch)  # warmup
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        inference(model, batch, mode="eval")
+        frozen(batch)
         times.append(time.perf_counter() - start)
     return float(np.median(times))

@@ -95,11 +95,14 @@ def _conv_forward(x, w, b, stride, padding):
     return y.reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3), rows
 
 
-def _conv_backward(grad_y, rows, w, x_shape, stride, padding):
-    """Gradients of _conv_forward; returns (gw, gb, gx)."""
+def _conv_backward(grad_y, rows, w, x_shape, stride, padding, input_grad=True):
+    """Gradients of _conv_forward; returns (gw, gb, gx), gx None when
+    input_grad is false."""
     o, c, kh, kw = w.shape
     gm = grad_y.transpose(1, 0, 2, 3).reshape(o, -1)
     gw = (gm @ rows).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+    if not input_grad:
+        return gw, gm.sum(axis=1), None
     # one (N*OH*OW, C) product per kernel tap keeps each col2im run C*OW long
     grad_taps = gm.T @ w.transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
     gx = _col2im(grad_taps, x_shape, kh, kw, stride, padding)
@@ -216,7 +219,8 @@ class Conv2d(Layer):
 
     def backward(self, grad_y, ctx, grads):
         gw, gb, gx = _conv_backward(grad_y, ctx["rows"], self.w, ctx["x_shape"],
-                                    self.stride, self.padding)
+                                    self.stride, self.padding,
+                                    ctx.get("input_grad", True))
         grads[(self.lid, "w")] += gw
         if self.has_bias:
             grads[(self.lid, "b")] += gb
@@ -297,11 +301,12 @@ class QConv2d(Layer):
         n = grad_y.shape[0]
         g2 = grad_y.reshape(n, 4 * self.q_out, *grad_y.shape[3:])
         gw, gb, gx = _conv_backward(g2, ctx["rows"], ctx["w"], ctx["x_shape"],
-                                    self.stride, self.padding)
+                                    self.stride, self.padding,
+                                    ctx.get("input_grad", True))
         grads[(self.lid, "weights")] += hamilton_fold(gw)
         if self.has_bias:
             grads[(self.lid, "bias")] += gb.reshape(4, self.q_out)
-        return gx.reshape(n, 4, self.q_in, *gx.shape[2:])
+        return None if gx is None else gx.reshape(n, 4, self.q_in, *gx.shape[2:])
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -568,7 +573,8 @@ class AvgPool2d(Layer):
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
         _, oh, ow = self.out_shape((0, *x.shape[-2:]))
-        y = np.zeros(x.shape[:-2] + (oh, ow), dtype=x.dtype)
+        # in x's memory order, so that no add mixes two layouts
+        y = np.zeros_like(x[..., :oh, :ow])
         s = self.stride
         for a in range(self.window):
             for b in range(self.window):
@@ -959,6 +965,113 @@ def model_input(model, features):
         return feats
     n, _, q, h, w = feats.shape
     return feats.reshape(n, 4 * q, h, w)
+
+
+# ---------------------------------------------------------------------------
+# frozen-model inference
+# ---------------------------------------------------------------------------
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+class _FrozenConv:
+    """A Conv2d or QConv2d on its expanded weight, with a directly following
+    eval-mode BN folded into the weight rows and bias (w*s, (b-mu)*s+beta,
+    s = gamma/sqrt(var+eps)) and a following ReLU applied in place."""
+
+    def __init__(self, conv, bn, relu):
+        quaternion = isinstance(conv, QConv2d)
+        w = hamilton_expand(conv.weights) if quaternion else conv.w
+        bias = conv.bias if quaternion else conv.b
+        o, c, kh, kw = w.shape
+        b = np.zeros(o, w.dtype) if bias is None else bias.reshape(-1).copy()
+        s = np.ones(o, w.dtype)
+        if bn is not None:
+            if bn.gamma.size != o:
+                raise ShapeError(f"batchnorm of {bn.gamma.size} channels after "
+                                 f"a conv of {o}")
+            s = bn.gamma.reshape(-1) / np.sqrt(bn.running_var.reshape(-1) + bn.eps)
+            b = (b - bn.running_mean.reshape(-1)) * s + bn.beta.reshape(-1)
+        wk = w.transpose(0, 2, 3, 1).reshape(o, -1) * s[:, None]
+        # (O, C, kh, kw) over (O, kh, kw, C) memory, as _conv_forward reads it
+        self.w = _read_only(wk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+        self.b = _read_only(b)
+        self.stride, self.padding, self.relu = conv.stride, conv.padding, relu
+        self.planes = (4, o // 4) if quaternion else (o,)
+
+    def forward(self, x, **_):
+        n = x.shape[0]
+        x2 = x.reshape(n, -1, *x.shape[-2:])
+        if x2.shape[1] != self.w.shape[1]:
+            raise ShapeError(f"conv expects {self.w.shape[1]} real input "
+                             f"channels, got {x.shape}")
+        y, _ = _conv_forward(x2, self.w, self.b, self.stride, self.padding)
+        if self.relu:
+            np.maximum(y, 0, out=y)
+        return y.reshape(n, *self.planes, *y.shape[2:]), None
+
+
+class _FrozenQLinear:
+    """A QLinear on its expanded weight."""
+
+    def __init__(self, layer):
+        self.q_in, self.q_out = layer.q_in, layer.q_out
+        self.w = _read_only(hamilton_expand(layer.weights).T)
+        b = layer.bias if layer.has_bias else np.zeros((4, layer.q_out), self.w.dtype)
+        self.b = _read_only(b.reshape(-1).copy())
+
+    def forward(self, x, **_):
+        if x.shape[1:] not in ((4, self.q_in), (4, self.q_in, 1, 1)):
+            raise ShapeError(f"qlinear expects (N, 4, {self.q_in}), got {x.shape}")
+        y = x.reshape(x.shape[0], -1) @ self.w + self.b
+        return y.reshape(x.shape[0], 4, self.q_out), None
+
+
+def _freeze_stack(layers):
+    frozen, rest = [], list(layers)
+    while rest:
+        layer = rest.pop(0)
+        if isinstance(layer, (Conv2d, QConv2d)):
+            bn_type = QBatchNorm2d if isinstance(layer, QConv2d) else BatchNorm2d
+            bn = rest.pop(0) if rest and isinstance(rest[0], bn_type) else None
+            relu = bool(rest) and isinstance(rest[0], ReLU)
+            if relu:
+                rest.pop(0)
+            frozen.append(_FrozenConv(layer, bn, relu))
+        elif isinstance(layer, QLinear):
+            frozen.append(_FrozenQLinear(layer))
+        elif isinstance(layer, ResidualBlock):
+            frozen.append(ResidualBlock(_freeze_stack(layer.layers)))
+        else:  # its own eval forward, on a private copy
+            frozen.append(copy.deepcopy(layer))
+            for _, arr in frozen[-1].params() + frozen[-1].buffers():
+                _read_only(arr)
+    return frozen
+
+
+class FrozenModel:
+    """Eval-mode inference on a snapshot of a model's weights and BN
+    statistics, built once by ``freeze``; later changes to the model do not
+    reach it.  Each call adds 1 to the model's ``forward_count``."""
+
+    def __init__(self, model: ModelGraph):
+        self.model = model
+        self.layers = tuple(_freeze_stack(model.layers))
+
+    def __call__(self, batch):
+        """The logits ``inference(model, batch)`` gives, to float rounding."""
+        h = batch
+        for layer in self.layers:
+            h, _ = layer.forward(h)
+        self.model.forward_count += 1
+        return h
+
+
+def freeze(model: ModelGraph) -> FrozenModel:
+    """Expand, fold and copy the model's arrays once; see FrozenModel."""
+    return FrozenModel(model)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,34 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(tape, loss2)
 
+    @pytest.mark.parametrize("name", ["qcnn-mini", "cnn-mini"])
+    def test_first_layer_input_gradient_not_computed(self, name, monkeypatch):
+        from qprune import nn
+        from qprune.models import build_model
+
+        model = build_model(name, 3, (4, 16, 16), seed=2)
+        x = nn.model_input(model, np.random.default_rng(6).normal(
+            size=(4, 4, 1, 16, 16)).astype(np.float32))
+        z, tape = forward(model, x, mode="train")
+        loss = cross_entropy(z, one_hot([0, 1, 2, 0], 3), tape)
+        col2im_calls = []
+        real_col2im = nn._col2im
+        monkeypatch.setattr(nn, "_col2im", lambda *a: col2im_calls.append(1)
+                            or real_col2im(*a))
+        grads = backward(tape, loss)
+        convs = sum(isinstance(l, (nn.Conv2d, nn.QConv2d)) for l in model.walk())
+        assert len(col2im_calls) == convs - 1
+
+        # every layer computing its input gradient gives the same parameter
+        # gradients, bit for bit
+        full = {key: np.zeros_like(g) for key, g in grads.items()}
+        g = np.asarray(loss.dlogits, dtype=z.dtype)
+        for layer, ctx in reversed(tape.records):
+            g = layer.backward(g, ctx, full)
+        assert g.shape == x.shape and len(col2im_calls) == 2 * convs - 1
+        for key in grads:
+            np.testing.assert_array_equal(grads[key], full[key])
+
     def test_loss_must_come_from_tape_output(self):
         model = toy_real_model()
         x = np.random.default_rng(5).normal(size=(2, 3, 8, 8))
@@ -349,6 +377,14 @@ class TestTrainLoop:
             outs.append(np.concatenate([a.ravel() for _, _, _, a in
                                         model.all_params()]))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_negative_iterations_rejected(self):
+        from qprune.exceptions import ConfigError
+
+        model = identity_linear_model(2)
+        with pytest.raises(ConfigError):
+            train_loop(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]),
+                       TrainConfig(iterations=-1))
 
     def test_eval_off_runs_no_hidden_eval(self):
         from qprune.models import build_model

@@ -427,6 +427,17 @@ def _config(text):
     return write
 
 
+def _eval_csv(**fields):
+    def write(tmp_path):
+        row = {"model": "m", "method": "op", "p": "0.5", "metric": "accuracy",
+               "value": "0.9", "params": "10", "macs": "20", "time_s": "0",
+               **fields}
+        path = tmp_path / "eval.csv"
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        return str(path)
+    return write
+
+
 # (id, argv after the command's inputs, dataset edit, exit code); settings
 # errors exit 2 and file-format errors exit 1
 MALFORMED = [
@@ -442,6 +453,14 @@ MALFORMED = [
     ("features_bins", ["features", "synth", "--bins", "-3"], None, 2),
     ("config_optimizer", ["train", "--config", _config("optimizer=rmsprop\n")],
      None, 2),
+    ("train_iterations", ["train", "--iterations", "-5"], None, 2),
+    ("distill_iterations", ["distill", "--iterations", "-1"], None, 2),
+    ("prune_finetune_iterations", ["prune", "--finetune-iterations", "-1"],
+     None, 2),
+    ("prune_ratio", ["prune", "--ratio", "2"], None, 2),
+    ("compare_p_not_number", ["compare", "--inputs", _eval_csv(p="x")], None, 1),
+    ("compare_macs_not_number", ["compare", "--inputs", _eval_csv(macs="")],
+     None, 1),
     ("manifest_no_comma", ["eval"],
      _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea "), 1),
     ("label_not_integer", ["eval"],
@@ -465,10 +484,14 @@ def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
     inputs = {"train": ["--data", str(data)],
               "distill": ["--teacher", ckpt, "--data", str(data),
                           "--iterations", "1"],
+              "prune": ["--checkpoint", ckpt, "--data", str(data)],
               "eval": ["--checkpoint", ckpt, "--data", str(data)],
-              "features": []}
+              "features": [], "compare": []}
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     capsys.readouterr()
-    assert main([*argv, *inputs[argv[0]], "--out", str(tmp_path / "o")]) == code
+    # the case's own flags come last, so they override the inputs'
+    assert main([argv[0], *inputs[argv[0]], *argv[1:],
+                 "--out", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.rglob("*.qprs"))

@@ -206,6 +206,27 @@ class TestDistillTrain:
         distill_train(teacher, student, ds, KDConfig(), cfg)
         assert teacher.forward_count == iters
 
+    def test_teacher_expanded_once_per_run(self, monkeypatch):
+        from qprune import nn
+
+        teacher = tiny_teacher(seed=5)
+        student = make_student_from_plan(
+            teacher, build_prune_plan(teacher, "l1", 0.5), seed=1)
+        ds = synth_dataset(3, 12, seed=1, frames=16, bins=16)
+        teacher_banks = {id(l.weights): 0 for l in teacher.walk()
+                         if isinstance(l, nn.QConv2d)}
+        real_expand = nn.hamilton_expand
+
+        def counting_expand(banks):
+            if id(banks) in teacher_banks:
+                teacher_banks[id(banks)] += 1
+            return real_expand(banks)
+
+        monkeypatch.setattr(nn, "hamilton_expand", counting_expand)
+        cfg = TrainConfig(iterations=5, lr=1e-3, seed=2, eval_every=0)
+        distill_train(teacher, student, ds, KDConfig(), cfg)
+        assert list(teacher_banks.values()) == [1] * 6
+
     def test_class_count_mismatch(self):
         from qprune.models import build_model
 

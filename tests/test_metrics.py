@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qprune.exceptions import ShapeError, UndefinedMetricError
+from qprune.exceptions import FormatError, ShapeError, UndefinedMetricError
 from qprune.metrics import (
     EvalReport,
     average_precision,
@@ -288,6 +288,18 @@ class TestReportCSV:
         assert len(rows) == 2
         assert rows[0]["model"] == "qcnn-mini"
         assert float(rows[0]["value"]) == pytest.approx(0.97)
+
+    @pytest.mark.parametrize("column", ["p", "value", "params", "macs", "time_s"])
+    def test_non_numeric_column_rejected(self, tmp_path, column):
+        row = {"model": "m", "method": "op", "p": "0.5", "metric": "accuracy",
+               "value": "0.9", "params": "10", "macs": "20", "time_s": ""}
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        assert len(read_report_csv(path)) == 1  # an empty time_s is allowed
+        row[column] = "x"
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(FormatError):
+            read_report_csv(path)
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -17,6 +17,7 @@ from qprune.nn import (
     QConv2d,
     QLinear,
     ReLU,
+    ResidualBlock,
     convert_architecture,
     hamilton_expand,
     hamilton_fold,
@@ -480,3 +481,125 @@ def test_eval_forward_logits_equal_inference_bit_for_bit(name):
     inference(model, x, mode="train")  # move BN running stats off (0, 1)
     z, _ = forward(model, x, mode="eval")
     np.testing.assert_array_equal(z, inference(model, x, mode="eval"))
+
+
+# ---------------------------------------------------------------------------
+# frozen-model inference
+# ---------------------------------------------------------------------------
+
+def _rel_err(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def _calibrated(model, x):
+    """The model with BN running statistics moved off (0, 1)."""
+    from qprune.autodiff import inference
+
+    for k in range(3):
+        inference(model, x[k::3], mode="train")
+    return model
+
+
+def _spec_model(name):
+    from qprune.models import build_model
+    from qprune.pruning import apply_prune, build_prune_plan
+
+    if name == "qcnn-mini-p50":
+        base = build_model("qcnn-mini", 4, (4, 32, 16), seed=1)
+        return apply_prune(base, build_prune_plan(base, "op", 0.5))
+    return build_model(name, 4, (4, 32, 16), seed=1)
+
+
+def _every_layer_type_models():
+    """A quaternion and a real model that together use every layer type:
+    BN folded with and without a ReLU, ReLU fused without BN, BN that
+    follows no conv, convs without bias, residual blocks, and Flatten of
+    both pooled vectors and spatial maps."""
+    quaternion = ModelGraph([
+        QConv2d(1, 2, (3, 3), padding=1), QBatchNorm2d(2), ReLU(), AvgPool2d(2),
+        ResidualBlock([QConv2d(2, 2, (3, 3), padding=1, bias=False),
+                       QBatchNorm2d(2), ReLU(), QConv2d(2, 2, (3, 3), padding=1)]),
+        QBatchNorm2d(2), MaxPool2d(2), GlobalAvgPool2d(), QLinear(2, 3), ReLU(),
+        Flatten(), Linear(12, 3),
+    ], (4, 8, 8), 3, quaternion=True)
+    real = ModelGraph([
+        Conv2d(4, 8, (3, 3), stride=2, padding=1), ReLU(),
+        Conv2d(8, 8, (2, 3), bias=False), BatchNorm2d(8), MaxPool2d(2, 1),
+        BatchNorm2d(8), AvgPool2d(2), Flatten(), Linear(24, 3),
+    ], (4, 16, 12), 3, quaternion=False)
+    return quaternion, real
+
+
+@pytest.mark.parametrize("name", ["qcnn-mini", "qcnn-mini-p50", "qresnet-mini",
+                                  "cnn-mini"])
+def test_frozen_logits_match_inference(name):
+    from qprune.autodiff import inference
+    from qprune.nn import freeze, model_input
+
+    model = _spec_model(name)
+    x = model_input(model, np.random.default_rng(2).normal(
+        size=(48, 4, 1, 32, 16)).astype(np.float32))
+    _calibrated(model, x)
+    z = inference(model, x, mode="eval")
+    z_frozen = freeze(model)(x)
+    assert _rel_err(z_frozen, z) <= 1e-5
+    np.testing.assert_array_equal(z_frozen.argmax(axis=1), z.argmax(axis=1))
+
+
+def test_frozen_covers_every_layer_type():
+    from qprune.autodiff import inference
+    from qprune.nn import LAYER_TYPES, freeze
+
+    models = _every_layer_type_models()
+    used = {layer.type_name for m in models for layer in m.walk()}
+    assert used == set(LAYER_TYPES)
+    rng = np.random.default_rng(4)
+    for model in models:
+        model.init_params(rng)
+        x = rng.normal(size=(12, *model.input_shape)).astype(np.float32)
+        if model.quaternion:
+            x = x.reshape(12, 4, -1, *model.input_shape[1:])
+        _calibrated(model, x)
+        assert _rel_err(freeze(model)(x), inference(model, x, mode="eval")) <= 1e-5
+
+
+def test_frozen_snapshot_is_independent_of_the_model():
+    from qprune.autodiff import OptimState, cross_entropy, backward, forward, one_hot
+    from qprune.nn import freeze
+
+    rng = np.random.default_rng(5)
+    model = _every_layer_type_models()[0].init_params(rng)
+    x = rng.normal(size=(6, 4, 1, 8, 8)).astype(np.float32)
+    _calibrated(model, x)
+    before = [a.copy() for *_, a in model.all_params() + model.all_buffers()]
+    frozen = freeze(model)
+    z0 = frozen(x)
+    for saved, (*_, a) in zip(before, model.all_params() + model.all_buffers()):
+        np.testing.assert_array_equal(a, saved)
+
+    z, tape = forward(model, x, mode="train")  # moves BN statistics too
+    OptimState(model, "adam", 1e-2).step(
+        backward(tape, cross_entropy(z, one_hot(rng.integers(0, 3, 6), 3), tape)))
+    assert not np.array_equal(model.layers[0].weights, before[0])
+    np.testing.assert_array_equal(frozen(x), z0)
+
+
+def test_frozen_call_counts_one_forward():
+    from qprune.nn import freeze
+
+    model = _spec_model("qresnet-mini")
+    x = np.zeros((2, 4, 1, 32, 16), dtype=np.float32)
+    model.forward_count = 0
+    frozen = freeze(model)
+    assert model.forward_count == 0
+    for k in range(1, 4):
+        frozen(x)
+        assert model.forward_count == k
+
+
+def test_frozen_rejects_wrong_input_channels():
+    from qprune.nn import freeze
+
+    model = _spec_model("qcnn-mini")
+    with pytest.raises(ShapeError):
+        freeze(model)(np.zeros((2, 4, 2, 32, 16), dtype=np.float32))
