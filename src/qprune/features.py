@@ -424,6 +424,8 @@ def load_dataset(data_dir) -> LabeledDataset:
         raise FormatError(f"{manifest}: no samples listed")
 
     task = meta.get("task", "multi" if ";" in entries[0][2] else "single")
+    if task not in ("single", "multi"):
+        raise FormatError(f"{meta_file}: task {task!r} is not single or multi")
     class_ids = []
     for lineno, _, label in entries:
         parts = [g for g in label.split(";") if g] if task == "multi" else [label]

@@ -13,7 +13,7 @@ Activations, pooling, and normalization count as zero MACs.
 from __future__ import annotations
 
 import csv
-import io
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -30,12 +30,8 @@ from .nn import (
     Linear,
     MaxPool2d,
     ModelGraph,
-    QBatchNorm2d,
-    QConv2d,
-    QLinear,
     ReLU,
     ResidualBlock,
-    conv_output_hw,
     freeze,
 )
 
@@ -171,20 +167,10 @@ def count_params(model: ModelGraph) -> int:
 
 
 def _layer_macs(layer, in_shape):
-    if isinstance(layer, Conv2d):
-        _, h, w = in_shape
-        oh, ow = conv_output_hw(h, w, *layer.kernel, layer.stride, layer.padding)
-        kh, kw = layer.kernel
-        return layer.c_out * layer.c_in * kh * kw * oh * ow
-    if isinstance(layer, QConv2d):
-        _, h, w = in_shape
-        oh, ow = conv_output_hw(h, w, *layer.kernel, layer.stride, layer.padding)
-        kh, kw = layer.kernel
-        return 16 * layer.q_out * layer.q_in * kh * kw * oh * ow
-    if isinstance(layer, Linear):
-        return layer.c_out * layer.c_in
-    if isinstance(layer, QLinear):
-        return 16 * layer.q_out * layer.q_in
+    if isinstance(layer, (Conv2d, Linear)):
+        # one MAC per real weight per output position; on a quaternion
+        # layer's real widths that is 16*q_out*q_in per kernel tap
+        return layer.c_in * math.prod(layer.kernel) * math.prod(layer.out_shape(in_shape))
     if isinstance(layer, ResidualBlock):
         total = 0
         shape = in_shape
@@ -193,7 +179,7 @@ def _layer_macs(layer, in_shape):
             shape = inner.out_shape(shape)
         return total
     if isinstance(layer, (ReLU, MaxPool2d, AvgPool2d, GlobalAvgPool2d,
-                          Flatten, BatchNorm2d, QBatchNorm2d)):
+                          Flatten, BatchNorm2d)):
         return 0
     raise ValueError(f"no MAC rule for layer {layer.type_name}")
 

@@ -7,18 +7,25 @@ a model can be trained without an external autodiff framework; the forward
 methods optionally return the context needed by backward.
 
 A quaternion layer is the real layer whose weight is tied by the Hamilton
-product: ``hamilton_expand`` fills the signed 4x4 block matrix of the four
-kernel banks, and the layer then runs the one real convolution or matmul
-on the (N, 4*Q, ...) view of its input.  The tying is what yields the 4x
-kernel-parameter reduction relative to a real layer of equal real width.
-Backward computes the real weight gradient and folds it back onto the
-banks with ``hamilton_fold``, the adjoint of the expansion.
+product, and its class is a subclass of that layer's: QConv2d, QLinear and
+QBatchNorm2d are Conv2d, Linear and BatchNorm2d (``isinstance(q_layer,
+Conv2d)`` holds), and each op has one forward and one backward body.  The
+subclass stores quaternion widths (q_in, q_out, q), with the real ones
+(c_in = 4*q_in, ...) derived, and keeps its arrays on (4, Q) axes.  For
+QConv2d and QLinear, ``real_weight()`` is ``hamilton_expand`` of the four
+kernel banks, the signed 4x4 block matrix the shared body convolves or
+multiplies with on the (N, 4*Q, ...) view of the input, and ``fold()``
+maps the real weight gradient back onto the banks with ``hamilton_fold``,
+the expansion's adjoint.  The tying is what yields the 4x kernel-parameter
+reduction relative to a real layer of equal real width; it does not change
+the MACs of a forward pass.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import struct
 
 import numpy as np
@@ -141,9 +148,15 @@ def hamilton_fold(grad):
 # ---------------------------------------------------------------------------
 
 class Layer:
-    """Base layer: parameters, buffers, forward with optional backward ctx."""
+    """Base layer: parameters, buffers, forward with optional backward ctx.
+
+    Every class in LAYER_TYPES binds forward and backward in its own body,
+    a quaternion subclass by re-binding its real layer's, so that a
+    per-class profiler wrapping those entries sees each type apart."""
 
     type_name = "layer"
+    quaternion = False  # whether its maps carry channels on (4, Q) axes
+    widths = ()  # attributes holding its channel counts, its spec's keys
 
     def __init__(self):
         self.lid = -1  # assigned by ModelGraph
@@ -171,15 +184,90 @@ class Layer:
     def out_shape(self, shape):
         return shape
 
+    def axes(self, c):
+        """The channel axes of c real channels in this layer's maps."""
+        return (4, c // 4) if self.quaternion else (c,)
+
     def spec(self):
-        return {"type": self.type_name}
+        return {"type": self.type_name, **{k: getattr(self, k) for k in self.widths}}
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.spec().items() if k != "type")
         return f"{self.__class__.__name__}({items})"
 
 
-class Conv2d(Layer):
+class _Weighted(Layer):
+    """The weight (c_out, c_in, *kernel) and optional bias (c_out,) of
+    Conv2d and Linear.  Their bodies read the weight through real_weight()
+    and real_bias() and route its gradients through fold(), so that
+    _HamiltonTie can swap in quaternion banks."""
+
+    widths = ("c_in", "c_out")
+    kernel = ()  # a Linear's; Conv2d sets its (kh, kw)
+
+    def _init_weight(self, c_in, c_out, bias, dtype, kernel=()):
+        self.c_in, self.c_out, self.has_bias = int(c_in), int(c_out), bool(bias)
+        self.w = np.zeros((self.c_out, self.c_in, *kernel), dtype=dtype)
+        self.b = np.zeros(self.c_out, dtype=dtype) if bias else None
+
+    def params(self):
+        return [("w", self.w)] + ([("b", self.b)] if self.has_bias else [])
+
+    def real_weight(self):
+        return self.w
+
+    def real_bias(self):
+        return self.b
+
+    def fold(self, gw, gb):
+        """Gradients of params() from those of real_weight() and real_bias()."""
+        return gw, gb
+
+    def init_params(self, rng):
+        (name, w), *bias = self.params()
+        scale = 1.0 / np.sqrt(self.c_in * math.prod(self.kernel))
+        self.set_array(name, rng.uniform(-scale, scale, w.shape).astype(w.dtype))
+        for name, b in bias:
+            self.set_array(name, np.zeros_like(b))
+
+    def _add_grads(self, grads, gw, gb):
+        # zip stops at the weight when there is no bias
+        for (name, _), g in zip(self.params(), self.fold(gw, gb)):
+            grads[(self.lid, name)] += g
+
+
+class _HamiltonTie:
+    """What QConv2d and QLinear add to Conv2d and Linear: the weight is four
+    banks (F_R, F_I, F_J, F_K) stacked as (4, q_out, q_in, *kernel), and the
+    bias one quaternion per output channel, (4, q_out).  The layer is the
+    real one of 4*q_in inputs and 4*q_out outputs whose weight
+    hamilton_expand builds from the banks; backward folds the real weight
+    gradient back onto them with hamilton_fold, the expansion's adjoint."""
+
+    quaternion = True
+    widths = ("q_in", "q_out")
+    c_in = property(lambda self: 4 * self.q_in)
+    c_out = property(lambda self: 4 * self.q_out)
+
+    def _init_weight(self, q_in, q_out, bias, dtype, kernel=()):
+        self.q_in, self.q_out, self.has_bias = int(q_in), int(q_out), bool(bias)
+        self.weights = np.zeros((4, self.q_out, self.q_in, *kernel), dtype=dtype)
+        self.bias = np.zeros((4, self.q_out), dtype=dtype) if bias else None
+
+    def params(self):
+        return [("weights", self.weights)] + ([("bias", self.bias)] if self.has_bias else [])
+
+    def real_weight(self):
+        return hamilton_expand(self.weights)
+
+    def real_bias(self):
+        return self.bias.reshape(-1) if self.has_bias else None
+
+    def fold(self, gw, gb):
+        return hamilton_fold(gw), gb.reshape(4, self.q_out)
+
+
+class Conv2d(_Weighted):
     """Real 2D cross-correlation with optional bias."""
 
     type_name = "conv2d"
@@ -187,200 +275,78 @@ class Conv2d(Layer):
     def __init__(self, c_in, c_out, kernel=(3, 3), stride=1, padding=0,
                  bias=True, dtype=DEFAULT_DTYPE):
         super().__init__()
-        self.c_in, self.c_out = int(c_in), int(c_out)
         self.kernel = (int(kernel[0]), int(kernel[1]))
         self.stride, self.padding = int(stride), int(padding)
-        self.has_bias = bool(bias)
-        kh, kw = self.kernel
-        self.w = np.zeros((c_out, c_in, kh, kw), dtype=dtype)
-        self.b = np.zeros(c_out, dtype=dtype) if bias else None
-
-    def params(self):
-        out = [("w", self.w)]
-        if self.has_bias:
-            out.append(("b", self.b))
-        return out
-
-    def init_params(self, rng):
-        kh, kw = self.kernel
-        scale = 1.0 / np.sqrt(self.c_in * kh * kw)
-        self.w = rng.uniform(-scale, scale, self.w.shape).astype(self.w.dtype)
-        if self.has_bias:
-            self.b = np.zeros_like(self.b)
+        self._init_weight(c_in, c_out, bias, dtype, self.kernel)
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise ShapeError(
-                f"conv2d expects (N, {self.c_in}, H, W), got {x.shape}"
-            )
-        y, rows = _conv_forward(x, self.w, self.b, self.stride, self.padding)
-        ctx = {"rows": rows, "x_shape": x.shape} if record else None
-        return y, ctx
+        if x.shape[1:-2] != self.axes(self.c_in):
+            raise ShapeError(f"{self.type_name} expects channel axes "
+                             f"{self.axes(self.c_in)}, got input {x.shape}")
+        n = x.shape[0]
+        w = self.real_weight()
+        y, rows = _conv_forward(x.reshape(n, self.c_in, *x.shape[-2:]), w,
+                                self.real_bias(), self.stride, self.padding)
+        ctx = {"rows": rows, "w": w, "x_shape": x.shape} if record else None
+        return y.reshape(n, *self.axes(self.c_out), *y.shape[-2:]), ctx
 
     def backward(self, grad_y, ctx, grads):
-        gw, gb, gx = _conv_backward(grad_y, ctx["rows"], self.w, ctx["x_shape"],
-                                    self.stride, self.padding,
-                                    ctx.get("input_grad", True))
-        grads[(self.lid, "w")] += gw
-        if self.has_bias:
-            grads[(self.lid, "b")] += gb
-        return gx
+        n, x_shape = grad_y.shape[0], ctx["x_shape"]
+        gw, gb, gx = _conv_backward(
+            grad_y.reshape(n, self.c_out, *grad_y.shape[-2:]), ctx["rows"],
+            ctx["w"], (n, self.c_in, *x_shape[-2:]), self.stride, self.padding,
+            ctx.get("input_grad", True))
+        self._add_grads(grads, gw, gb)
+        return None if gx is None else gx.reshape(x_shape)
 
     def out_shape(self, shape):
         c, h, w = shape
         if c != self.c_in:
-            raise ShapeError(f"layer expects {self.c_in} channels, got {c}")
+            raise ShapeError(f"layer expects {self.c_in} real channels, got {c}")
         oh, ow = conv_output_hw(h, w, *self.kernel, self.stride, self.padding)
         return (self.c_out, oh, ow)
 
     def spec(self):
-        return {
-            "type": self.type_name, "c_in": self.c_in, "c_out": self.c_out,
-            "kernel": list(self.kernel), "stride": self.stride,
-            "padding": self.padding, "bias": self.has_bias,
-        }
+        return {**super().spec(), "kernel": list(self.kernel), "stride": self.stride,
+                "padding": self.padding, "bias": self.has_bias}
 
     @classmethod
     def from_spec(cls, d):
-        return cls(d["c_in"], d["c_out"], d["kernel"], d["stride"], d["padding"], d["bias"])
+        return cls(*(d[k] for k in cls.widths), d["kernel"], d["stride"],
+                   d["padding"], d["bias"])
 
 
-class QConv2d(Layer):
-    """Quaternion 2D convolution as a Hamilton-expanded real convolution.
-
-    ``weights`` stacks the four kernel banks (F_R, F_I, F_J, F_K) along the
-    leading axis: shape (4, q_out, q_in, kh, kw).  The bias is one
-    quaternion per output channel, shape (4, q_out).  Forward expands the
-    banks once into the real (4*q_out, 4*q_in, kh, kw) kernel and runs the
-    real convolution on the (N, 4*q_in, H, W) view of the input; backward
-    folds the real kernel gradient back onto the banks.
-    """
+class QConv2d(_HamiltonTie, Conv2d):
+    """Quaternion 2D convolution: Conv2d on the (N, 4*q_in, H, W) view of
+    its (N, 4, q_in, H, W) input, with the weight tied by the Hamilton
+    product (see _HamiltonTie)."""
 
     type_name = "qconv2d"
+    forward, backward = Conv2d.forward, Conv2d.backward
 
     def __init__(self, q_in, q_out, kernel=(3, 3), stride=1, padding=0,
                  bias=True, dtype=DEFAULT_DTYPE):
-        super().__init__()
-        self.q_in, self.q_out = int(q_in), int(q_out)
-        self.kernel = (int(kernel[0]), int(kernel[1]))
-        self.stride, self.padding = int(stride), int(padding)
-        self.has_bias = bool(bias)
-        kh, kw = self.kernel
-        self.weights = np.zeros((4, q_out, q_in, kh, kw), dtype=dtype)
-        self.bias = np.zeros((4, q_out), dtype=dtype) if bias else None
-
-    def params(self):
-        out = [("weights", self.weights)]
-        if self.has_bias:
-            out.append(("bias", self.bias))
-        return out
-
-    def init_params(self, rng):
-        kh, kw = self.kernel
-        scale = 1.0 / np.sqrt(4 * self.q_in * kh * kw)
-        self.weights = rng.uniform(-scale, scale, self.weights.shape).astype(
-            self.weights.dtype
-        )
-        if self.has_bias:
-            self.bias = np.zeros_like(self.bias)
-
-    def forward(self, x, mode="eval", record=False, update_stats=True):
-        if x.ndim != 5 or x.shape[1] != 4 or x.shape[2] != self.q_in:
-            raise ShapeError(
-                f"qconv2d expects (N, 4, {self.q_in}, H, W), got {x.shape}"
-            )
-        n = x.shape[0]
-        x2 = x.reshape(n, 4 * self.q_in, *x.shape[3:])
-        wr = hamilton_expand(self.weights)
-        b = self.bias.reshape(-1) if self.has_bias else None
-        y, rows = _conv_forward(x2, wr, b, self.stride, self.padding)
-        ctx = {"rows": rows, "w": wr, "x_shape": x2.shape} if record else None
-        return y.reshape(n, 4, self.q_out, *y.shape[2:]), ctx
-
-    def backward(self, grad_y, ctx, grads):
-        n = grad_y.shape[0]
-        g2 = grad_y.reshape(n, 4 * self.q_out, *grad_y.shape[3:])
-        gw, gb, gx = _conv_backward(g2, ctx["rows"], ctx["w"], ctx["x_shape"],
-                                    self.stride, self.padding,
-                                    ctx.get("input_grad", True))
-        grads[(self.lid, "weights")] += hamilton_fold(gw)
-        if self.has_bias:
-            grads[(self.lid, "bias")] += gb.reshape(4, self.q_out)
-        return None if gx is None else gx.reshape(n, 4, self.q_in, *gx.shape[2:])
-
-    def out_shape(self, shape):
-        c, h, w = shape
-        if c != 4 * self.q_in:
-            raise ShapeError(f"layer expects {4 * self.q_in} real channels, got {c}")
-        oh, ow = conv_output_hw(h, w, *self.kernel, self.stride, self.padding)
-        return (4 * self.q_out, oh, ow)
-
-    def spec(self):
-        return {
-            "type": self.type_name, "q_in": self.q_in, "q_out": self.q_out,
-            "kernel": list(self.kernel), "stride": self.stride,
-            "padding": self.padding, "bias": self.has_bias,
-        }
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(d["q_in"], d["q_out"], d["kernel"], d["stride"], d["padding"], d["bias"])
-
-
-def _bn_forward(x2, gamma, beta, rmean, rvar, eps, momentum, mode, record, update_stats):
-    """Core batch norm on (N, C, H, W) with per-channel parameters."""
-    if mode == "train":
-        mu = x2.mean(axis=(0, 2, 3))
-        var = x2.var(axis=(0, 2, 3))
-        if update_stats:
-            rmean *= momentum
-            rmean += (1.0 - momentum) * mu
-            rvar *= momentum
-            rvar += (1.0 - momentum) * var
-    else:
-        mu, var = rmean, rvar
-    inv = 1.0 / np.sqrt(var + eps)
-    if mode == "train" or record:
-        xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
-    if mode == "train":
-        y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
-    else:
-        # fixed statistics fold into one scale and shift per channel
-        scale = gamma * inv
-        y = x2 * scale[None, :, None, None] + (beta - mu * scale)[None, :, None, None]
-    ctx = {"xhat": xhat, "inv": inv, "mode": mode} if record else None
-    return y, ctx
-
-
-def _bn_backward(grad_y, ctx, gamma):
-    xhat, inv = ctx["xhat"], ctx["inv"]
-    dgamma = (grad_y * xhat).sum(axis=(0, 2, 3))
-    dbeta = grad_y.sum(axis=(0, 2, 3))
-    if ctx["mode"] == "train":
-        m = grad_y.shape[0] * grad_y.shape[2] * grad_y.shape[3]
-        gx = (gamma * inv)[None, :, None, None] / m * (
-            m * grad_y
-            - dbeta[None, :, None, None]
-            - xhat * dgamma[None, :, None, None]
-        )
-    else:
-        gx = grad_y * (gamma * inv)[None, :, None, None]
-    return gx, dgamma, dbeta
+        super().__init__(q_in, q_out, kernel, stride, padding, bias, dtype)
 
 
 class BatchNorm2d(Layer):
-    """Per-channel batch normalization for real feature maps."""
+    """Per-channel batch normalization."""
 
     type_name = "batchnorm2d"
+    widths = ("channels",)
 
     def __init__(self, channels, eps=1e-5, momentum=0.9, dtype=DEFAULT_DTYPE):
         super().__init__()
+        self._init_width(channels)
+        self.eps, self.momentum = float(eps), float(momentum)
+        shape = self.axes(self.channels)
+        self.gamma = np.ones(shape, dtype=dtype)
+        self.beta = np.zeros(shape, dtype=dtype)
+        self.running_mean = np.zeros(shape, dtype=dtype)
+        self.running_var = np.ones(shape, dtype=dtype)
+
+    def _init_width(self, channels):
         self.channels = int(channels)
-        self.eps, self.momentum = float(eps), float(momentum)
-        self.gamma = np.ones(channels, dtype=dtype)
-        self.beta = np.zeros(channels, dtype=dtype)
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -395,85 +361,79 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones_like(self.running_var)
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        if x.ndim != 4 or x.shape[1] != self.channels:
-            raise ShapeError(f"batchnorm expects (N, {self.channels}, H, W), got {x.shape}")
-        return _bn_forward(x, self.gamma, self.beta, self.running_mean,
-                           self.running_var, self.eps, self.momentum,
-                           mode, record, update_stats)
+        if x.shape[1:-2] != self.axes(self.channels):
+            raise ShapeError(f"{self.type_name} expects channel axes "
+                             f"{self.axes(self.channels)}, got input {x.shape}")
+        x2 = x.reshape(x.shape[0], self.channels, *x.shape[-2:])
+        rmean, rvar = self.running_mean.reshape(-1), self.running_var.reshape(-1)
+        if mode == "train":
+            mu = x2.mean(axis=(0, 2, 3))
+            var = x2.var(axis=(0, 2, 3))
+            if update_stats:
+                rmean *= self.momentum
+                rmean += (1.0 - self.momentum) * mu
+                rvar *= self.momentum
+                rvar += (1.0 - self.momentum) * var
+        else:
+            mu, var = rmean, rvar
+        inv = 1.0 / np.sqrt(var + self.eps)
+        gamma, beta = self.gamma.reshape(-1), self.beta.reshape(-1)
+        if mode == "train" or record:
+            xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
+        if mode == "train":
+            y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+        else:
+            # fixed statistics fold into one scale and shift per channel
+            scale = gamma * inv
+            y = x2 * scale[None, :, None, None] + (beta - mu * scale)[None, :, None, None]
+        ctx = {"xhat": xhat, "inv": inv, "mode": mode} if record else None
+        return y.reshape(x.shape), ctx
 
     def backward(self, grad_y, ctx, grads):
-        gx, dgamma, dbeta = _bn_backward(grad_y, ctx, self.gamma)
-        grads[(self.lid, "gamma")] += dgamma
-        grads[(self.lid, "beta")] += dbeta
-        return gx
-
-    def spec(self):
-        return {"type": self.type_name, "channels": self.channels,
-                "eps": self.eps, "momentum": self.momentum}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(d["channels"], d["eps"], d["momentum"])
-
-
-class QBatchNorm2d(Layer):
-    """Split batch norm: each of the 4*Q planes keeps its own statistics.
-
-    Parameters are stored (4, Q) so the plane axis stays explicit; the math
-    is plain per-channel BN over the flattened 4*Q channels.
-    """
-
-    type_name = "qbatchnorm2d"
-
-    def __init__(self, q, eps=1e-5, momentum=0.9, dtype=DEFAULT_DTYPE):
-        super().__init__()
-        self.q = int(q)
-        self.eps, self.momentum = float(eps), float(momentum)
-        self.gamma = np.ones((4, q), dtype=dtype)
-        self.beta = np.zeros((4, q), dtype=dtype)
-        self.running_mean = np.zeros((4, q), dtype=dtype)
-        self.running_var = np.ones((4, q), dtype=dtype)
-
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-    def init_params(self, rng):
-        self.gamma = np.ones_like(self.gamma)
-        self.beta = np.zeros_like(self.beta)
-        self.running_mean = np.zeros_like(self.running_mean)
-        self.running_var = np.ones_like(self.running_var)
-
-    def forward(self, x, mode="eval", record=False, update_stats=True):
-        if x.ndim != 5 or x.shape[1] != 4 or x.shape[2] != self.q:
-            raise ShapeError(f"split batchnorm expects (N, 4, {self.q}, H, W), got {x.shape}")
-        n, _, q, h, w = x.shape
-        x2 = x.reshape(n, 4 * q, h, w)
-        y2, ctx = _bn_forward(
-            x2, self.gamma.reshape(-1), self.beta.reshape(-1),
-            self.running_mean.reshape(-1), self.running_var.reshape(-1),
-            self.eps, self.momentum, mode, record, update_stats,
-        )
-        return y2.reshape(x.shape), ctx
-
-    def backward(self, grad_y, ctx, grads):
-        n, _, q, h, w = grad_y.shape
-        gx, dgamma, dbeta = _bn_backward(
-            grad_y.reshape(n, 4 * q, h, w), ctx, self.gamma.reshape(-1)
-        )
-        grads[(self.lid, "gamma")] += dgamma.reshape(4, q)
-        grads[(self.lid, "beta")] += dbeta.reshape(4, q)
+        g = grad_y.reshape(grad_y.shape[0], self.channels, *grad_y.shape[-2:])
+        xhat, inv = ctx["xhat"], ctx["inv"]
+        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        dbeta = g.sum(axis=(0, 2, 3))
+        scale = (self.gamma.reshape(-1) * inv)[None, :, None, None]
+        if ctx["mode"] == "train":
+            m = g.shape[0] * g.shape[2] * g.shape[3]
+            gx = scale / m * (m * g - dbeta[None, :, None, None]
+                              - xhat * dgamma[None, :, None, None])
+        else:
+            gx = g * scale
+        grads[(self.lid, "gamma")] += dgamma.reshape(self.gamma.shape)
+        grads[(self.lid, "beta")] += dbeta.reshape(self.beta.shape)
         return gx.reshape(grad_y.shape)
 
+    def out_shape(self, shape):
+        if shape[0] != self.channels:
+            raise ShapeError(f"layer expects {self.channels} real channels, got {shape[0]}")
+        return shape
+
     def spec(self):
-        return {"type": self.type_name, "q": self.q,
-                "eps": self.eps, "momentum": self.momentum}
+        return {**super().spec(), "eps": self.eps, "momentum": self.momentum}
 
     @classmethod
     def from_spec(cls, d):
-        return cls(d["q"], d["eps"], d["momentum"])
+        return cls(d[cls.widths[0]], d["eps"], d["momentum"])
+
+
+class QBatchNorm2d(BatchNorm2d):
+    """Split batch norm: BatchNorm2d over the 4*q real channels of a
+    (N, 4, q, H, W) map, so each plane keeps its own statistics.
+    Parameters and statistics are stored (4, q), the plane axis explicit."""
+
+    type_name = "qbatchnorm2d"
+    quaternion = True
+    widths = ("q",)
+    channels = property(lambda self: 4 * self.q)
+    forward, backward = BatchNorm2d.forward, BatchNorm2d.backward
+
+    def __init__(self, q, eps=1e-5, momentum=0.9, dtype=DEFAULT_DTYPE):
+        super().__init__(q, eps, momentum, dtype)
+
+    def _init_width(self, q):
+        self.q = int(q)
 
 
 class ReLU(Layer):
@@ -653,128 +613,58 @@ class Flatten(Layer):
         return cls()
 
 
-class Linear(Layer):
-    """Real fully-connected layer y = x W^T + b."""
+class Linear(_Weighted):
+    """Real fully-connected layer y = x W^T + b on flat or 1x1-pooled input."""
 
     type_name = "linear"
 
     def __init__(self, c_in, c_out, bias=True, dtype=DEFAULT_DTYPE):
         super().__init__()
-        self.c_in, self.c_out = int(c_in), int(c_out)
-        self.has_bias = bool(bias)
-        self.w = np.zeros((c_out, c_in), dtype=dtype)
-        self.b = np.zeros(c_out, dtype=dtype) if bias else None
-
-    def params(self):
-        out = [("w", self.w)]
-        if self.has_bias:
-            out.append(("b", self.b))
-        return out
-
-    def init_params(self, rng):
-        scale = 1.0 / np.sqrt(self.c_in)
-        self.w = rng.uniform(-scale, scale, self.w.shape).astype(self.w.dtype)
-        if self.has_bias:
-            self.b = np.zeros_like(self.b)
+        self._init_weight(c_in, c_out, bias, dtype)
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        if x.ndim != 2 or x.shape[1] != self.c_in:
-            raise ShapeError(f"linear expects (N, {self.c_in}), got {x.shape}")
-        y = x @ self.w.T
+        n, c, axes = x.shape[0], self.c_in, self.axes(self.c_in)
+        if x.shape[1:] not in ((c,), (c, 1, 1), axes, axes + (1, 1)):
+            raise ShapeError(f"{self.type_name} expects (N, {c}) features, flat, "
+                             f"on axes {axes} or pooled to 1x1; got {x.shape}")
+        x2 = x.reshape(n, c)
+        w = self.real_weight()
+        y = x2 @ w.T
         if self.has_bias:
-            y = y + self.b[None, :]
-        ctx = {"x": x} if record else None
-        return y, ctx
+            y = y + self.real_bias()
+        ctx = {"x": x2, "w": w, "x_shape": x.shape} if record else None
+        return y.reshape(n, *self.axes(self.c_out)), ctx
 
     def backward(self, grad_y, ctx, grads):
-        grads[(self.lid, "w")] += grad_y.T @ ctx["x"]
-        if self.has_bias:
-            grads[(self.lid, "b")] += grad_y.sum(axis=0)
-        return grad_y @ self.w
+        g = grad_y.reshape(grad_y.shape[0], self.c_out)
+        self._add_grads(grads, g.T @ ctx["x"], g.sum(axis=0))
+        return (g @ ctx["w"]).reshape(ctx["x_shape"])
 
     def out_shape(self, shape):
+        if tuple(shape) not in ((self.c_in,), (self.c_in, 1, 1)):
+            raise ShapeError(f"{self.type_name} expects {self.c_in} features, flat "
+                             f"or pooled to 1x1; got {tuple(shape)}")
         return (self.c_out,)
 
     def spec(self):
-        return {"type": self.type_name, "c_in": self.c_in, "c_out": self.c_out,
-                "bias": self.has_bias}
+        return {**super().spec(), "bias": self.has_bias}
 
     @classmethod
     def from_spec(cls, d):
-        return cls(d["c_in"], d["c_out"], d["bias"])
+        return cls(*(d[k] for k in cls.widths), d["bias"])
 
 
-class QLinear(Layer):
+class QLinear(_HamiltonTie, Linear):
     """Quaternion fully-connected layer: each output is a sum of Hamilton
     products of a quaternion weight with a quaternion input, plus a
-    quaternion bias.  Weight banks are (4, q_out, q_in); input (N, 4, q_in).
-    It runs as one real matmul with the Hamilton-expanded
-    (4*q_out, 4*q_in) weight; backward folds that weight's gradient back
-    onto the banks.
-    """
+    quaternion bias; Linear on the (N, 4*q_in) view of its (N, 4, q_in)
+    input, with the weight tied (see _HamiltonTie)."""
 
     type_name = "qlinear"
+    forward, backward = Linear.forward, Linear.backward
 
     def __init__(self, q_in, q_out, bias=True, dtype=DEFAULT_DTYPE):
-        super().__init__()
-        self.q_in, self.q_out = int(q_in), int(q_out)
-        self.has_bias = bool(bias)
-        self.weights = np.zeros((4, q_out, q_in), dtype=dtype)
-        self.bias = np.zeros((4, q_out), dtype=dtype) if bias else None
-
-    def params(self):
-        out = [("weights", self.weights)]
-        if self.has_bias:
-            out.append(("bias", self.bias))
-        return out
-
-    def init_params(self, rng):
-        scale = 1.0 / np.sqrt(4 * self.q_in)
-        self.weights = rng.uniform(-scale, scale, self.weights.shape).astype(
-            self.weights.dtype
-        )
-        if self.has_bias:
-            self.bias = np.zeros_like(self.bias)
-
-    def forward(self, x, mode="eval", record=False, update_stats=True):
-        squeezed = False
-        if x.ndim == 5 and x.shape[-2:] == (1, 1):  # pooled feature maps
-            x = x.reshape(x.shape[:3])
-            squeezed = True
-        if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] != self.q_in:
-            raise ShapeError(f"qlinear expects (N, 4, {self.q_in}), got {x.shape}")
-        n = x.shape[0]
-        x2 = x.reshape(n, 4 * self.q_in)
-        wr = hamilton_expand(self.weights)
-        y = x2 @ wr.T
-        if self.has_bias:
-            y = y + self.bias.reshape(-1)
-        ctx = {"x2": x2, "w": wr, "squeezed": squeezed} if record else None
-        return y.reshape(n, 4, self.q_out), ctx
-
-    def backward(self, grad_y, ctx, grads):
-        n = grad_y.shape[0]
-        g2 = grad_y.reshape(n, 4 * self.q_out)
-        grads[(self.lid, "weights")] += hamilton_fold(g2.T @ ctx["x2"])
-        if self.has_bias:
-            grads[(self.lid, "bias")] += g2.sum(axis=0).reshape(4, self.q_out)
-        gx = (g2 @ ctx["w"]).reshape(n, 4, self.q_in)
-        if ctx["squeezed"]:
-            gx = gx.reshape(gx.shape + (1, 1))
-        return gx
-
-    def out_shape(self, shape):
-        if len(shape) == 3 and shape[1:] != (1, 1):
-            raise ShapeError("qlinear needs pooled (C, 1, 1) or flat input")
-        return (4 * self.q_out,)
-
-    def spec(self):
-        return {"type": self.type_name, "q_in": self.q_in, "q_out": self.q_out,
-                "bias": self.has_bias}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(d["q_in"], d["q_out"], d["bias"])
+        super().__init__(q_in, q_out, bias, dtype)
 
 
 class ResidualBlock(Layer):
@@ -977,21 +867,20 @@ def _read_only(arr):
 
 
 class _FrozenConv:
-    """A Conv2d or QConv2d on its expanded weight, with a directly following
+    """A Conv2d or QConv2d on its real weight, with a directly following
     eval-mode BN folded into the weight rows and bias (w*s, (b-mu)*s+beta,
     s = gamma/sqrt(var+eps)) and a following ReLU applied in place."""
 
     def __init__(self, conv, bn, relu):
-        quaternion = isinstance(conv, QConv2d)
-        w = hamilton_expand(conv.weights) if quaternion else conv.w
-        bias = conv.bias if quaternion else conv.b
+        w, bias = conv.real_weight(), conv.real_bias()
         o, c, kh, kw = w.shape
-        b = np.zeros(o, w.dtype) if bias is None else bias.reshape(-1).copy()
+        self.axes_in, self.axes = conv.axes(c), conv.axes(o)
+        b = np.zeros(o, w.dtype) if bias is None else bias.copy()
         s = np.ones(o, w.dtype)
         if bn is not None:
-            if bn.gamma.size != o:
-                raise ShapeError(f"batchnorm of {bn.gamma.size} channels after "
-                                 f"a conv of {o}")
+            if bn.axes(bn.channels) != self.axes:
+                raise ShapeError(f"batchnorm on channel axes {bn.axes(bn.channels)} "
+                                 f"after a conv to {self.axes}")
             s = bn.gamma.reshape(-1) / np.sqrt(bn.running_var.reshape(-1) + bn.eps)
             b = (b - bn.running_mean.reshape(-1)) * s + bn.beta.reshape(-1)
         wk = w.transpose(0, 2, 3, 1).reshape(o, -1) * s[:, None]
@@ -999,49 +888,41 @@ class _FrozenConv:
         self.w = _read_only(wk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
         self.b = _read_only(b)
         self.stride, self.padding, self.relu = conv.stride, conv.padding, relu
-        self.planes = (4, o // 4) if quaternion else (o,)
 
     def forward(self, x, **_):
+        if x.shape[1:-2] != self.axes_in:
+            raise ShapeError(f"conv expects channel axes {self.axes_in}, got input {x.shape}")
         n = x.shape[0]
-        x2 = x.reshape(n, -1, *x.shape[-2:])
-        if x2.shape[1] != self.w.shape[1]:
-            raise ShapeError(f"conv expects {self.w.shape[1]} real input "
-                             f"channels, got {x.shape}")
-        y, _ = _conv_forward(x2, self.w, self.b, self.stride, self.padding)
+        y, _ = _conv_forward(x.reshape(n, self.w.shape[1], *x.shape[-2:]), self.w, self.b,
+                             self.stride, self.padding)
         if self.relu:
             np.maximum(y, 0, out=y)
-        return y.reshape(n, *self.planes, *y.shape[2:]), None
+        return y.reshape(n, *self.axes, *y.shape[2:]), None
 
 
-class _FrozenQLinear:
-    """A QLinear on its expanded weight."""
-
-    def __init__(self, layer):
-        self.q_in, self.q_out = layer.q_in, layer.q_out
-        self.w = _read_only(hamilton_expand(layer.weights).T)
-        b = layer.bias if layer.has_bias else np.zeros((4, layer.q_out), self.w.dtype)
-        self.b = _read_only(b.reshape(-1).copy())
-
-    def forward(self, x, **_):
-        if x.shape[1:] not in ((4, self.q_in), (4, self.q_in, 1, 1)):
-            raise ShapeError(f"qlinear expects (N, 4, {self.q_in}), got {x.shape}")
-        y = x.reshape(x.shape[0], -1) @ self.w + self.b
-        return y.reshape(x.shape[0], 4, self.q_out), None
+def _frozen_linear(layer):
+    """A Linear on read-only copies of a Linear's or QLinear's real weight
+    and bias, on the same channel axes."""
+    frozen = Linear(layer.c_in, layer.c_out, layer.has_bias)
+    frozen.quaternion = layer.quaternion
+    frozen.w = _read_only(layer.real_weight().copy())
+    if layer.has_bias:
+        frozen.b = _read_only(layer.real_bias().copy())
+    return frozen
 
 
 def _freeze_stack(layers):
     frozen, rest = [], list(layers)
     while rest:
         layer = rest.pop(0)
-        if isinstance(layer, (Conv2d, QConv2d)):
-            bn_type = QBatchNorm2d if isinstance(layer, QConv2d) else BatchNorm2d
-            bn = rest.pop(0) if rest and isinstance(rest[0], bn_type) else None
+        if isinstance(layer, Conv2d):
+            bn = rest.pop(0) if rest and isinstance(rest[0], BatchNorm2d) else None
             relu = bool(rest) and isinstance(rest[0], ReLU)
             if relu:
                 rest.pop(0)
             frozen.append(_FrozenConv(layer, bn, relu))
-        elif isinstance(layer, QLinear):
-            frozen.append(_FrozenQLinear(layer))
+        elif isinstance(layer, Linear):
+            frozen.append(_frozen_linear(layer))
         elif isinstance(layer, ResidualBlock):
             frozen.append(ResidualBlock(_freeze_stack(layer.layers)))
         else:  # its own eval forward, on a private copy
@@ -1167,6 +1048,8 @@ def convert_architecture(real_model: ModelGraph, seed=0) -> ModelGraph:
     head = linear_indices[-1] if linear_indices else None
 
     def convert_layer(layer, idx, label):
+        if layer.quaternion:
+            raise ConversionError(f"layer {label}: {layer.type_name} is already quaternion")
         if isinstance(layer, Conv2d):
             if layer.c_in % 4 or layer.c_out % 4:
                 raise ConversionError(
@@ -1281,7 +1164,12 @@ def load_checkpoint(path):
 def _read_checkpoint(raw, offset, path):
     header = json.loads(raw[16:offset].decode("utf-8"))
     model = ModelGraph.from_description(header["model"])
-    model.layer_shapes()  # the described layers must chain
+    if model.task not in ("single", "multi"):
+        raise FormatError(f"{path}: unknown task {model.task!r}")
+    # the described layers must chain, into one logit per class
+    if model.layer_shapes()[-1:] != [(model.num_classes,)]:
+        raise FormatError(f"{path}: the layers do not end in "
+                          f"{model.num_classes} class logits")
     arrays = list(_payload_arrays(model))
     expected = [{"lid": layer.lid, "name": name, "shape": list(arr.shape)}
                 for layer, name, arr in arrays]

@@ -224,24 +224,13 @@ def _slice_downstream(model, shapes, idx, keep, m_old):
             for name in ("gamma", "beta", "running_mean", "running_var"):
                 layer.set_array(name, getattr(layer, name)[:, keep].copy())
             layer.q = len(keep)
-        elif isinstance(layer, (ReLU, MaxPool2d, AvgPool2d, GlobalAvgPool2d)):
+        elif isinstance(layer, (ReLU, MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten)):
             pass
-        elif isinstance(layer, Flatten):
-            pass
-        elif isinstance(layer, QConv2d):
+        elif isinstance(layer, (QConv2d, QLinear)):
             if layer.q_in != m_old:
                 raise SurgeryError(
-                    f"conv at layer {j} consumes {layer.q_in} channels, "
-                    f"expected {m_old}"
-                )
-            layer.weights = layer.weights[:, :, keep].copy()
-            layer.q_in = len(keep)
-            return
-        elif isinstance(layer, QLinear):
-            if layer.q_in != m_old:
-                raise SurgeryError(
-                    f"qlinear at layer {j} consumes {layer.q_in} channels, "
-                    f"expected {m_old}"
+                    f"{layer.type_name} at layer {j} consumes {layer.q_in} "
+                    f"channels, expected {m_old}"
                 )
             layer.weights = layer.weights[:, :, keep].copy()
             layer.q_in = len(keep)

@@ -1,5 +1,6 @@
 """Checkpoint format tests: bit-exact round trips and error handling."""
 
+import json
 import struct
 
 import numpy as np
@@ -8,7 +9,16 @@ import pytest
 from qprune.autodiff import OptimState, backward, cross_entropy, forward, one_hot
 from qprune.exceptions import FormatError, TruncationError
 from qprune.models import build_model
-from qprune.nn import load_checkpoint, save_checkpoint
+from qprune.nn import (
+    Flatten,
+    GlobalAvgPool2d,
+    Linear,
+    ModelGraph,
+    QConv2d,
+    QLinear,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def params_blob(model):
@@ -130,4 +140,33 @@ class TestCheckpointErrors:
         assert swapped != raw
         path.write_bytes(swapped)
         with pytest.raises(FormatError, match="payload table"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layers,input_shape,quaternion", [
+        ([GlobalAvgPool2d(), Flatten(), Linear(99, 3)], (8, 4, 4), False),
+        ([QConv2d(1, 2, (3, 3)), GlobalAvgPool2d(), QLinear(5, 3), Flatten(),
+          Linear(12, 3)], (4, 8, 8), True),
+    ], ids=["linear_width", "qlinear_width"])
+    def test_layers_must_chain(self, tmp_path, layers, input_shape, quaternion):
+        path = tmp_path / "w.qprs"
+        save_checkpoint(ModelGraph(layers, input_shape, 3, quaternion), path)
+        with pytest.raises(FormatError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        ({"task": "foo"}, "unknown task"),
+        ({"num_classes": -2}, "-2 class logits"),
+        ({"num_classes": 5}, "5 class logits"),
+    ], ids=["task", "num_classes_negative", "num_classes_not_logits"])
+    def test_task_and_class_count_must_fit(self, tmp_path, edit, match):
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=12)
+        path = tmp_path / "t.qprs"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16 : 16 + hlen])
+        header["model"].update(edit)
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path)

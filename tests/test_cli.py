@@ -469,6 +469,7 @@ MALFORMED = [
      _edit("dataset.txt", "num_classes=3", "num_classes=three"), 1),
     ("label_out_of_range", ["eval"],
      _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,7"), 1),
+    ("task_unknown", ["train"], _edit("dataset.txt", "task=single", "task=foo"), 1),
 ]
 
 

@@ -245,3 +245,10 @@ class TestManifestLoader:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             load_dataset(tmp_path)
+
+    def test_unknown_task_rejected(self, tmp_path):
+        save_dataset(synth_dataset(3, 6, seed=5, frames=10, bins=6), tmp_path / "d")
+        meta = tmp_path / "d" / "dataset.txt"
+        meta.write_text(meta.read_text().replace("task=single", "task=foo"))
+        with pytest.raises(FormatError, match="task 'foo'"):
+            load_dataset(tmp_path / "d")

@@ -323,6 +323,72 @@ class TestSplitOps:
             split_pool(QTensor(np.zeros((4, 1, 2, 2))), "max", 3)
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_qbatchnorm_is_batchnorm_on_the_real_channels(mode):
+    # QBatchNorm2d(q) on (N, 4, q, H, W) is BatchNorm2d(4q) on the
+    # (N, 4q, H, W) view, with its (4, q) arrays flattened, bit for bit
+    rng = np.random.default_rng(21)
+    qbn, bn = QBatchNorm2d(3), BatchNorm2d(12)
+    for name, _ in qbn.params() + qbn.buffers():
+        value = rng.uniform(0.5, 2.0, size=(4, 3)).astype(np.float32)
+        qbn.set_array(name, value)
+        bn.set_array(name, value.reshape(-1).copy())
+    x = rng.normal(size=(5, 4, 3, 6, 6)).astype(np.float32)
+    yq, ctx_q = qbn.forward(x, mode=mode, record=True)
+    yr, ctx_r = bn.forward(x.reshape(5, 12, 6, 6), mode=mode, record=True)
+    assert yq.shape == x.shape
+    np.testing.assert_array_equal(yq.reshape(yr.shape), yr)
+    for name, arr in qbn.buffers():  # train mode moves both alike
+        np.testing.assert_array_equal(arr.reshape(-1), getattr(bn, name))
+
+    g = rng.normal(size=x.shape).astype(np.float32)
+    grads_q = {(qbn.lid, n): np.zeros_like(a) for n, a in qbn.params()}
+    grads_r = {(bn.lid, n): np.zeros_like(a) for n, a in bn.params()}
+    gx_q = qbn.backward(g, ctx_q, grads_q)
+    gx_r = bn.backward(g.reshape(yr.shape), ctx_r, grads_r)
+    assert gx_q.shape == x.shape
+    np.testing.assert_array_equal(gx_q.reshape(gx_r.shape), gx_r)
+    for key, grad in grads_q.items():
+        assert grad.shape == (4, 3)
+        np.testing.assert_array_equal(grad.reshape(-1), grads_r[key])
+
+
+def test_layer_shapes_check_every_incoming_width():
+    pooled = [GlobalAvgPool2d(), Flatten()]
+    assert ModelGraph(pooled + [Linear(8, 3)], (8, 4, 4), 3,
+                      quaternion=False).layer_shapes()[-1] == (3,)
+    qconv = QConv2d(1, 2, (3, 3))  # 8 real channels
+    assert ModelGraph([qconv, GlobalAvgPool2d(), QLinear(2, 3)], (4, 8, 8), 3,
+                      quaternion=True).layer_shapes()[-1] == (12,)
+    for layers, input_shape in [
+        (pooled + [Linear(99, 3)], (8, 4, 4)),  # 8 features, not 99
+        ([qconv, GlobalAvgPool2d(), QLinear(5, 3)], (4, 8, 8)),  # 8, not 20
+        ([Conv2d(4, 8, (3, 3)), BatchNorm2d(16)], (4, 8, 8)),  # 8, not 16
+        ([qconv, QBatchNorm2d(3)], (4, 8, 8)),  # 8, not 12
+    ]:
+        with pytest.raises(ShapeError):
+            ModelGraph(layers, input_shape, 3, layers[0].quaternion).layer_shapes()
+
+
+def test_every_layer_class_owns_forward_and_backward():
+    # per-class tracing wraps the entries in each class's own namespace, so
+    # a quaternion layer must not merely inherit its real layer's
+    from qprune.nn import LAYER_TYPES
+
+    for cls in LAYER_TYPES.values():
+        assert {"forward", "backward"} <= set(vars(cls)), cls.__name__
+
+
+def test_quaternion_layers_are_their_real_layers():
+    qconv, qlin, qbn = QConv2d(2, 3, (1, 1)), QLinear(2, 3), QBatchNorm2d(3)
+    assert isinstance(qconv, Conv2d) and isinstance(qlin, Linear)
+    assert isinstance(qbn, BatchNorm2d)
+    assert (qconv.c_in, qconv.c_out, qlin.c_in, qlin.c_out, qbn.channels) == (8, 12, 8, 12, 12)
+    assert qconv.real_weight().shape == (12, 8, 1, 1)
+    assert qconv.spec() == {"type": "qconv2d", "q_in": 2, "q_out": 3, "kernel": [1, 1],
+                            "stride": 1, "padding": 0, "bias": True}
+
+
 # ---------------------------------------------------------------------------
 # quaternion linear
 # ---------------------------------------------------------------------------
@@ -603,3 +669,5 @@ def test_frozen_rejects_wrong_input_channels():
     model = _spec_model("qcnn-mini")
     with pytest.raises(ShapeError):
         freeze(model)(np.zeros((2, 4, 2, 32, 16), dtype=np.float32))
+    with pytest.raises(ShapeError):  # the right width on real channel axes
+        freeze(model)(np.zeros((2, 4, 32, 16), dtype=np.float32))
