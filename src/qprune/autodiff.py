@@ -43,14 +43,18 @@ class Tape:
         return h
 
 
+def _check_mode(mode):
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
 def forward(model: ModelGraph, batch, mode="train"):
     """Run a batch through the model; returns (logits, tape).
 
     ``batch`` is the model-layout input: (N, 4, Q, H, W) for quaternion
     models, (N, C, H, W) for real ones.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    _check_mode(mode)
     tape = Tape(model, batch, mode)
     h = batch
     for layer in model.layers:
@@ -63,6 +67,7 @@ def forward(model: ModelGraph, batch, mode="train"):
 
 def inference(model: ModelGraph, batch, mode="eval", update_stats=True):
     """Forward pass without recording backward contexts."""
+    _check_mode(mode)
     h = batch
     for layer in model.layers:
         h, _ = layer.forward(h, mode=mode, record=False, update_stats=update_stats)

@@ -85,10 +85,10 @@ def read_report_csv(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            raise ShapeError(f"{path}: empty CSV")
+            raise FormatError(f"{path}: empty CSV")
         for col in CSV_COLUMNS:
             if col not in reader.fieldnames:
-                raise ShapeError(f"{path}: missing column {col!r}")
+                raise FormatError(f"{path}: missing column {col!r}")
         rows = list(reader)
     for i, row in enumerate(rows, start=2):
         for col in ("p", "value", "params", "macs", "time_s"):

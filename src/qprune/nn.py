@@ -59,44 +59,61 @@ def conv_output_hw(h, w, kh, kw, stride, padding):
     return oh, ow
 
 
-def _im2col(x, kh, kw, stride, padding):
-    """Sliding patches of x (N, C, H, W) as the (N*OH*OW, kh*kw*C) row
-    matrix of a GEMM.  x is copied once into a zero-padded channels-last
-    buffer, so each patch row gathers kh runs of kw*C contiguous values."""
-    n, c, h, w = x.shape
+def _live_taps(h, w, kh, kw, stride, padding):
+    """(oh, ow, ta, tb): per axis, the slice spanning the kernel taps a
+    whose input index o*stride + a - padding lands in the map for some
+    output o.  Every conv skips the other taps, which only read padding."""
     oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
+
+    def live(size, k, out):
+        taps = [a for a in range(k) if max(0, -((a - padding) // stride))
+                <= min(out - 1, (size - 1 + padding - a) // stride)]
+        return slice(min(taps, default=0), max(taps, default=-1) + 1)
+
+    return oh, ow, live(h, kh, oh), live(w, kw, ow)
+
+
+def _im2col(x, kh, kw, stride, padding):
+    """(rows, oh, ow, ta, tb): the patches of x (N, C, H, W) over the live
+    taps as the (N*OH*OW, taps*C) row matrix of a GEMM.  x is copied once
+    into a zero-padded channels-last buffer, so rows gather C-long runs."""
+    n, c, h, w = x.shape
+    oh, ow, ta, tb = _live_taps(h, w, kh, kw, stride, padding)
     xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
     xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
     s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, oh, ow, kh, kw, c),
+        xp[:, ta.start :, tb.start :],
+        shape=(n, oh, ow, ta.stop - ta.start, tb.stop - tb.start, c),
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False,
     )
-    return windows.reshape(n * oh * ow, kh * kw * c), oh, ow
+    return windows.reshape(n * oh * ow, -1), oh, ow, ta, tb
 
 
 def _col2im(grad_taps, x_shape, kh, kw, stride, padding):
-    """Scatter-add the per-tap row gradients (kh*kw, N*OH*OW, C) back to a
-    gradient of shape x_shape: one slice-add per kernel tap into a
+    """Scatter-add the row gradients (taps, N*OH*OW, C) of the live taps
+    back to a gradient of shape x_shape: one slice-add per tap into a
     zero-padded channels-last buffer."""
     n, c, h, w = x_shape
-    oh, ow = conv_output_hw(h, w, kh, kw, stride, padding)
-    g = grad_taps.reshape(kh, kw, n, oh, ow, c)
+    oh, ow, ta, tb = _live_taps(h, w, kh, kw, stride, padding)
+    taps_a, taps_b = range(kh)[ta], range(kw)[tb]
+    g = grad_taps.reshape(len(taps_a), len(taps_b), n, oh, ow, c)
     gx = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=grad_taps.dtype)
-    for a in range(kh):
-        for b in range(kw):
-            gx[:, a : a + stride * oh : stride, b : b + stride * ow : stride] += g[a, b]
+    for i, a in enumerate(taps_a):
+        for j, b in enumerate(taps_b):
+            gx[:, a : a + stride * oh : stride, b : b + stride * ow : stride] += g[i, j]
     return gx[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 def _conv_forward(x, w, b, stride, padding):
     """Real cross-correlation of x (N, C, H, W) with w (O, C, kh, kw) plus an
     optional bias (O,); returns (y, rows), rows being the _im2col row matrix
-    that backward needs.  The GEMM multiplies w reordered to (O, kh*kw*C)
-    by rows.T, so y is an (N, O, OH, OW) view of an (O, N, OH, OW) array."""
+    that backward needs.  The GEMM multiplies w's live taps as (O, taps*C)
+    by rows.T, so y is an (N, O, OH, OW) view of an (O, N, OH, OW) array,
+    the layout in which train-mode BN reads each channel as one run."""
     o, _, kh, kw = w.shape
-    rows, oh, ow = _im2col(x, kh, kw, stride, padding)
-    y = w.transpose(0, 2, 3, 1).reshape(o, -1) @ rows.T
+    rows, oh, ow, ta, tb = _im2col(x, kh, kw, stride, padding)
+    y = w[:, :, ta, tb].transpose(0, 2, 3, 1).reshape(o, -1) @ rows.T
     if b is not None:
         y += b[:, None]
     return y.reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3), rows
@@ -104,15 +121,18 @@ def _conv_forward(x, w, b, stride, padding):
 
 def _conv_backward(grad_y, rows, w, x_shape, stride, padding, input_grad=True):
     """Gradients of _conv_forward; returns (gw, gb, gx), gx None when
-    input_grad is false."""
+    input_grad is false.  The weight gradient of a dead tap is 0.0."""
     o, c, kh, kw = w.shape
+    *_, ta, tb = _live_taps(*x_shape[2:], kh, kw, stride, padding)
     gm = grad_y.transpose(1, 0, 2, 3).reshape(o, -1)
-    gw = (gm @ rows).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
+    gw = np.zeros((o, kh, kw, c), dtype=np.result_type(gm, rows))
+    gw[:, ta, tb] = (gm @ rows).reshape(gw[:, ta, tb].shape)
+    gw = gw.transpose(0, 3, 1, 2)
     if not input_grad:
         return gw, gm.sum(axis=1), None
-    # one (N*OH*OW, C) product per kernel tap keeps each col2im run C*OW long
-    grad_taps = gm.T @ w.transpose(2, 3, 0, 1).reshape(kh * kw, o, c)
-    gx = _col2im(grad_taps, x_shape, kh, kw, stride, padding)
+    # one (N*OH*OW, C) product per live tap keeps each col2im run C*OW long
+    w_taps = w[:, :, ta, tb].transpose(2, 3, 0, 1).reshape(-1, o, c)
+    gx = _col2im(gm.T @ w_taps, x_shape, kh, kw, stride, padding)
     return gw, gm.sum(axis=1), gx
 
 
@@ -866,10 +886,18 @@ def _read_only(arr):
     return arr
 
 
+# Row block of the frozen conv GEMM.  One call over all N*OH*OW rows (32768
+# for qcnn-mini's first conv at batch 64) leaves about 12 MB more of
+# OpenBLAS's pack buffers resident; blocks of 2048 rows run as fast.
+_FROZEN_GEMM_ROWS = 2048
+
+
 class _FrozenConv:
     """A Conv2d or QConv2d on its real weight, with a directly following
     eval-mode BN folded into the weight rows and bias (w*s, (b-mu)*s+beta,
-    s = gamma/sqrt(var+eps)) and a following ReLU applied in place."""
+    s = gamma/sqrt(var+eps)) and a following ReLU applied in place.  Its
+    GEMM is the tall rows @ w.T, so each map it returns is a view of
+    channels-last memory, which pooling and the next gather read in runs."""
 
     def __init__(self, conv, bn, relu):
         w, bias = conv.real_weight(), conv.real_bias()
@@ -883,9 +911,8 @@ class _FrozenConv:
                                  f"after a conv to {self.axes}")
             s = bn.gamma.reshape(-1) / np.sqrt(bn.running_var.reshape(-1) + bn.eps)
             b = (b - bn.running_mean.reshape(-1)) * s + bn.beta.reshape(-1)
-        wk = w.transpose(0, 2, 3, 1).reshape(o, -1) * s[:, None]
-        # (O, C, kh, kw) over (O, kh, kw, C) memory, as _conv_forward reads it
-        self.w = _read_only(wk.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+        # (O, kh, kw, C), the order of an _im2col row
+        self.w = _read_only(w.transpose(0, 2, 3, 1) * s[:, None, None, None])
         self.b = _read_only(b)
         self.stride, self.padding, self.relu = conv.stride, conv.padding, relu
 
@@ -893,11 +920,17 @@ class _FrozenConv:
         if x.shape[1:-2] != self.axes_in:
             raise ShapeError(f"conv expects channel axes {self.axes_in}, got input {x.shape}")
         n = x.shape[0]
-        y, _ = _conv_forward(x.reshape(n, self.w.shape[1], *x.shape[-2:]), self.w, self.b,
-                             self.stride, self.padding)
+        o, kh, kw, c = self.w.shape
+        rows, oh, ow, ta, tb = _im2col(x.reshape(n, c, *x.shape[-2:]), kh, kw,
+                                       self.stride, self.padding)
+        w = self.w[:, ta, tb].reshape(o, -1)
+        y = np.empty((rows.shape[0], o), dtype=np.result_type(rows, w))
+        for i in range(0, rows.shape[0], _FROZEN_GEMM_ROWS):
+            np.matmul(rows[i : i + _FROZEN_GEMM_ROWS], w.T, out=y[i : i + _FROZEN_GEMM_ROWS])
+        y += self.b
         if self.relu:
             np.maximum(y, 0, out=y)
-        return y.reshape(n, *self.axes, *y.shape[2:]), None
+        return np.moveaxis(y.reshape(n, oh, ow, *self.axes), (1, 2), (-2, -1)), None
 
 
 def _frozen_linear(layer):

@@ -19,6 +19,7 @@ from qprune.autodiff import (
     binary_cross_entropy,
     cross_entropy,
     forward,
+    inference,
     kl_divergence,
     mixup,
     mse_loss,
@@ -62,6 +63,15 @@ class TestForward:
         z, _ = forward(model, x)
         want = (x @ l1.w.T + l1.b) @ l2.w.T + l2.b
         np.testing.assert_allclose(z, want, rtol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["Train", "EVAL", "test"])
+    def test_unknown_mode_rejected(self, mode):
+        model = toy_quaternion_model()
+        x = np.zeros((2, 4, 1, 8, 8))
+        for run in (forward, inference):
+            with pytest.raises(ValueError, match="mode must be"):
+                run(model, x, mode=mode)
+        assert model.forward_count == 0
 
     def test_tape_replay_bit_exact(self):
         model = toy_quaternion_model()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qprune.exceptions import FormatError, ShapeError, UndefinedMetricError
+from qprune.exceptions import FormatError, UndefinedMetricError
 from qprune.metrics import (
     EvalReport,
     average_precision,
@@ -303,6 +303,7 @@ class TestReportCSV:
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("model,method,p\nqcnn-mini,op,0.5\n")
-        with pytest.raises(ShapeError):
-            read_report_csv(path)
+        for text in ("model,method,p\nqcnn-mini,op,0.5\n", ""):  # "" has no header
+            path.write_text(text)
+            with pytest.raises(FormatError):
+                read_report_csv(path)

@@ -18,6 +18,7 @@ from qprune.nn import (
     QLinear,
     ReLU,
     ResidualBlock,
+    _live_taps,
     convert_architecture,
     hamilton_expand,
     hamilton_fold,
@@ -82,6 +83,19 @@ def quaternion_bias_to_real(bias):
 # real convolution
 # ---------------------------------------------------------------------------
 
+# maps the kernel overhangs, where some taps only ever read zero padding
+OVERHANG = [((3, 3), 1, 1, (2, 1)), ((3, 3), 1, 1, (1, 1)),
+            ((5, 5), 1, 2, (2, 2)), ((3, 3), 2, 2, (3, 3))]
+
+
+def conv_cases(hw, cases):
+    """(kernel, stride, pad) cases on an hw input, then the OVERHANG cases,
+    as parametrize values; the cases on hw keep their former ids."""
+    return [pytest.param(k, s, p, size, id=f"kernel{i}-{s}-{p}"
+                         + ("" if size == hw else "-on{}x{}".format(*size)))
+            for i, (k, s, p, size) in enumerate([(*c, hw) for c in cases] + OVERHANG)]
+
+
 class TestConv2d:
     def test_zero_weights(self):
         layer = Conv2d(2, 3, (3, 3), padding=1)
@@ -105,34 +119,49 @@ class TestConv2d:
         want = loop_conv2d(x, layer.w, layer.b, stride, pad)
         np.testing.assert_allclose(got, want, rtol=1e-5)
 
-    @pytest.mark.parametrize("kernel,stride,pad", [
+    @pytest.mark.parametrize("kernel,stride,pad,hw", conv_cases((7, 9), [
         ((1, 8), 1, 2), ((4, 4), 3, 0), ((2, 3), 3, 2), ((4, 4), 1, 2), ((2, 3), 2, 0),
-    ])
-    def test_kernel_shapes_match_nested_loop_oracle(self, kernel, stride, pad):
+    ]))
+    def test_kernel_shapes_match_nested_loop_oracle(self, kernel, stride, pad, hw):
         rng = np.random.default_rng(3)
         layer = Conv2d(3, 5, kernel, stride=stride, padding=pad, dtype=np.float64)
         layer.w = rng.normal(size=layer.w.shape)
         layer.b = rng.normal(size=layer.b.shape)
-        x = rng.normal(size=(2, 3, 7, 9))
+        x = rng.normal(size=(2, 3, *hw))
         want = loop_conv2d(x, layer.w, layer.b, stride, pad)
         np.testing.assert_allclose(real_conv2d(layer, x), want, rtol=1e-5)
 
+    @pytest.mark.parametrize("h,w,kernel,stride,pad", [
+        (2, 1, (3, 3), 1, 1), (1, 1, (3, 3), 1, 1), (2, 2, (5, 5), 1, 2),
+        (3, 3, (3, 3), 2, 2), (7, 9, (2, 3), 3, 2), (1, 1, (1, 1), 10, 5),
+        (1, 5, (3, 3), 3, 2), (9, 4, (4, 4), 3, 0),
+    ])
+    def test_live_taps_are_those_reading_the_map(self, h, w, kernel, stride, pad):
+        oh, ow, ta, tb = _live_taps(h, w, *kernel, stride, pad)
+        for size, k, out, taps in ((h, kernel[0], oh, ta), (w, kernel[1], ow, tb)):
+            live = [a for a in range(k)
+                    if any(0 <= o * stride + a - pad < size for o in range(out))]
+            assert (taps.start, taps.stop) == ((live[0], live[-1] + 1) if live else (0, 0))
+
     def test_channel_major_input(self):
-        # conv outputs are (N, C, H, W) views of (C, N, H, W) arrays
+        # layer-wise conv outputs are (N, C, H, W) views of (C, N, H, W)
+        # arrays, frozen ones of channels-last (N, H, W, C) arrays
         rng = np.random.default_rng(4)
         layer = Conv2d(4, 3, (3, 3), padding=1, dtype=np.float64)
         layer.w = rng.normal(size=layer.w.shape)
         layer.b = rng.normal(size=layer.b.shape)
-        x = rng.normal(size=(4, 2, 6, 5)).transpose(1, 0, 2, 3)
-        assert not x.flags.c_contiguous
-        got = real_conv2d(layer, x)
-        np.testing.assert_array_equal(got, real_conv2d(layer, np.ascontiguousarray(x)))
-        np.testing.assert_allclose(got, loop_conv2d(x, layer.w, layer.b, 1, 1), rtol=1e-5)
+        for memory, order in (((4, 2, 6, 5), (1, 0, 2, 3)), ((2, 6, 5, 4), (0, 3, 1, 2))):
+            x = rng.normal(size=memory).transpose(order)
+            assert x.shape == (2, 4, 6, 5) and not x.flags.c_contiguous
+            got = real_conv2d(layer, x)
+            np.testing.assert_array_equal(got, real_conv2d(layer, np.ascontiguousarray(x)))
+            np.testing.assert_allclose(got, loop_conv2d(x, layer.w, layer.b, 1, 1),
+                                       rtol=1e-5)
 
-    @pytest.mark.parametrize("kernel,stride,pad", [
+    @pytest.mark.parametrize("kernel,stride,pad,hw", conv_cases((6, 9), [
         ((3, 3), 1, 1), ((2, 3), 3, 2), ((4, 4), 2, 0), ((1, 8), 1, 2),
-    ])
-    def test_backward_matches_loop_central_difference(self, kernel, stride, pad):
+    ]))
+    def test_backward_matches_loop_central_difference(self, kernel, stride, pad, hw):
         # loss = sum(G * conv(x, w)): its gradients by central differences
         # of the nested-loop oracle, against Conv2d.backward
         rng = np.random.default_rng(5)
@@ -140,7 +169,7 @@ class TestConv2d:
         layer.lid = 0
         layer.w = rng.normal(size=layer.w.shape)
         layer.b = rng.normal(size=layer.b.shape)
-        x = rng.normal(size=(2, 3, 6, 9))
+        x = rng.normal(size=(2, 3, *hw))
         y, ctx = layer.forward(x, record=True)
         g = rng.normal(size=y.shape)
         grads = {(0, "w"): np.zeros_like(layer.w), (0, "b"): np.zeros_like(layer.b)}
@@ -150,7 +179,7 @@ class TestConv2d:
             return float(np.sum(g * loop_conv2d(xv, wv, layer.b, stride, pad)))
 
         h = 1e-3
-        for arr, analytic, pick in ((x, gx, rng.choice(x.size, 40, replace=False)),
+        for arr, analytic, pick in ((x, gx, rng.choice(x.size, min(40, x.size), replace=False)),
                                     (layer.w, grads[(0, "w")],
                                      rng.choice(layer.w.size, 40, replace=False))):
             for flat in pick:
@@ -610,6 +639,28 @@ def test_frozen_logits_match_inference(name):
     z_frozen = freeze(model)(x)
     assert _rel_err(z_frozen, z) <= 1e-5
     np.testing.assert_array_equal(z_frozen.argmax(axis=1), z.argmax(axis=1))
+
+
+def test_frozen_maps_are_channels_last_on_maps_the_kernel_overhangs():
+    # on a 16x16 input the last two qcnn-mini convs run on 1x1 maps, where
+    # only the centre tap of each 3x3 kernel reads the map
+    from qprune.autodiff import inference
+    from qprune.models import build_model
+    from qprune.nn import _FrozenConv, freeze
+
+    model = build_model("qcnn-mini", 4, (4, 16, 16), seed=1)
+    x = np.random.default_rng(6).normal(size=(24, 4, 1, 16, 16)).astype(np.float32)
+    _calibrated(model, x)
+    z = inference(model, x, mode="eval")
+    h, sizes = x, []
+    for layer in freeze(model).layers:
+        h, _ = layer.forward(h)
+        if isinstance(layer, _FrozenConv):
+            sizes.append(h.shape[-2:])
+            assert np.moveaxis(h.reshape(24, -1, *h.shape[-2:]), 1, -1).flags.c_contiguous
+    assert sizes[-2:] == [(1, 1), (1, 1)]
+    assert _rel_err(h, z) <= 1e-5
+    np.testing.assert_array_equal(h.argmax(axis=1), z.argmax(axis=1))
 
 
 def test_frozen_covers_every_layer_type():
