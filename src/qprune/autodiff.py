@@ -302,7 +302,6 @@ class TrainConfig:
     batch_size: int = 16
     optimizer: str = "adam"
     seed: int = 0
-    loss: str = "ce"  # "ce" (softmax) or "bce" (multi-label)
     eval_every: int = 50
     target_metric: float | None = None  # early stop once reached
     use_mixup: bool = False
@@ -364,8 +363,11 @@ def train_loop(model, features, labels, config: TrainConfig,
     """Generic minibatch training shared by train, fine-tune, and distill.
 
     ``loss_fn(z, yb, tape, idx)`` may be supplied to override the loss (the
-    distillation path uses this); by default softmax or sigmoid
-    cross-entropy is chosen per ``config.loss``.  Deterministic given the
+    distillation path uses this); by default it is sigmoid cross-entropy
+    for a multi-label model (``model.task == "multi"``) and softmax
+    cross-entropy otherwise.  Each iteration appends one row (iteration,
+    loss, metric or None) to ``log_rows``, which is also the result's
+    ``history``, after its optimizer step and eval.  Deterministic given the
     config seed.  Raises DivergenceError on a non-finite loss.
     """
     task = model.task
@@ -383,7 +385,7 @@ def train_loop(model, features, labels, config: TrainConfig,
 
     if val_features is None:
         val_features, val_labels = features, labels
-    result = TrainResult(model=model)
+    result = TrainResult(model=model, history=[] if log_rows is None else log_rows)
     best = -np.inf
     best_snap = None
     all_params = model.all_params()
@@ -402,7 +404,7 @@ def train_loop(model, features, labels, config: TrainConfig,
         z, tape = forward(model, xb, mode="train")
         if loss_fn is not None:
             loss = loss_fn(z, yb, tape, idx)
-        elif config.loss == "bce":
+        elif task == "multi":
             loss = binary_cross_entropy(z, yb, tape)
         else:
             loss = cross_entropy(z, yb, tape)
@@ -421,17 +423,11 @@ def train_loop(model, features, labels, config: TrainConfig,
                 best = metric
                 if config.keep == "best":
                     best_snap = _snapshot(model)
-            result.history.append((it, float(loss), metric))
-            if log_rows is not None:
-                log_rows.append((it, float(loss), metric))
-            if config.target_metric is not None and metric >= config.target_metric:
-                result.iterations_run = it
-                break
-        else:
-            result.history.append((it, float(loss), None))
-            if log_rows is not None:
-                log_rows.append((it, float(loss), None))
+        result.history.append((it, float(loss), metric))
         result.iterations_run = it
+        if (metric is not None and config.target_metric is not None
+                and metric >= config.target_metric):
+            break
 
     if config.keep == "best" and best_snap is not None:
         _restore(model, best_snap)

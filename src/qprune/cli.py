@@ -190,11 +190,16 @@ def _write_train_log(path, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _train_config(cfg, ds, **command_fields):
+def _check_task(ds, model):
+    if ds.task != model.task:
+        raise ConfigError(f"the dataset's task is {ds.task}, the checkpoint's "
+                          f"{model.task}")
+
+
+def _train_config(cfg, **command_fields):
     return autodiff.TrainConfig(
         lr=cfg["lr"], batch_size=cfg["batch_size"],
-        optimizer=cfg["optimizer"], seed=cfg["seed"],
-        loss="bce" if ds.task == "multi" else "ce", eval_every=50,
+        optimizer=cfg["optimizer"], seed=cfg["seed"], eval_every=50,
         **command_fields)
 
 
@@ -211,7 +216,7 @@ def cmd_train(cfg):
                                input_shape, seed=cfg["seed"],
                                task=train_ds.task)
     rows = []
-    tc = _train_config(cfg, train_ds, iterations=cfg["iterations"],
+    tc = _train_config(cfg, iterations=cfg["iterations"],
                        target_metric=cfg["target_metric"],
                        use_mixup=cfg["mixup"])
     autodiff.train_loop(model, train_ds.features, train_ds.labels, tc,
@@ -244,8 +249,11 @@ def cmd_prune(cfg):
         raise ConfigError("--finetune-iterations must be non-negative, "
                           f"got {cfg['finetune_iterations']}")
     ckpt = _require_file(cfg["checkpoint"], "checkpoint")
-    out = _out_dir(cfg)
     model, _ = nn.load_checkpoint(ckpt)
+    if cfg["finetune_iterations"]:
+        train_ds, val_ds = _load_data(cfg)
+        _check_task(train_ds, model)
+    out = _out_dir(cfg)
     plan = pruning.build_prune_plan(model, cfg["method"], cfg["ratio"],
                                     _parse_layers(cfg["layers"], model))
     pruned = pruning.apply_prune(model, plan)
@@ -261,11 +269,8 @@ def cmd_prune(cfg):
     print(report.strip())
 
     if cfg["finetune_iterations"]:
-        train_ds, val_ds = _load_data(cfg)
         rows = []
-        tc = _train_config(cfg, train_ds,
-                           iterations=cfg["finetune_iterations"],
-                           keep="best")
+        tc = _train_config(cfg, iterations=cfg["finetune_iterations"])
         tuned = pruning.finetune(pruned, train_ds, tc, val_dataset=val_ds,
                                  log_rows=rows)
         nn.save_checkpoint(tuned, out / "finetuned.qprs")
@@ -278,8 +283,9 @@ def cmd_prune(cfg):
 def cmd_distill(cfg):
     teacher_path = _require_file(cfg["teacher"], "teacher checkpoint")
     train_ds, val_ds = _load_data(cfg)
-    out = _out_dir(cfg)
     teacher, _ = nn.load_checkpoint(teacher_path)
+    _check_task(train_ds, teacher)
+    out = _out_dir(cfg)
     if cfg["plan"]:
         plan = pruning.load_plan(_require_file(cfg["plan"], "prune plan"))
         student = distill.make_student_from_plan(teacher, plan,
@@ -290,7 +296,7 @@ def cmd_distill(cfg):
                               alpha=cfg["alpha"],
                               t2_scaling=cfg["t2_scaling"])
     kd_rows = []
-    tc = _train_config(cfg, train_ds, iterations=cfg["iterations"])
+    tc = _train_config(cfg, iterations=cfg["iterations"])
     distill.distill_train(teacher, student, train_ds, kd_cfg, tc,
                           val_dataset=val_ds, log_rows=kd_rows)
     nn.save_checkpoint(student, out / "student.qprs")
@@ -380,18 +386,14 @@ def cmd_features(cfg):
         wavs = [(w, 0) for w in sorted(src.glob("*.wav"))]
     if not wavs:
         raise ConfigError(f"no .wav files under {src}")
-    lines = ["file,label"]
-    for n, (wav_path, label) in enumerate(wavs):
+    for n, (wav_path, _) in enumerate(wavs):
         pcm, rate = features.read_wav(wav_path)
         mel = features.wav_to_mel(
             pcm, rate, allow_other_rate=cfg["allow_other_rate"])
         q = features.encode_quaternion_features(mel)
-        fname = f"sample_{n:05d}.qfea"
-        features.save_feature_file(out / fname, q)
-        lines.append(f"{fname},{label}")
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
-    (out / "dataset.txt").write_text(
-        f"num_classes={max(2, len(class_names))}\ntask=single\n")
+        features.save_feature_file(out / features.SAMPLE_FILE.format(n), q)
+    features.save_manifest(out, [g for _, g in wavs], max(2, len(class_names)),
+                           "single")
     if class_names:
         (out / "classes.txt").write_text("\n".join(class_names) + "\n")
     print(f"encoded {len(wavs)} clips to {out}")

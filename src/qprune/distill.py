@@ -107,8 +107,12 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
     The teacher is frozen once per run and runs one eval-mode forward per
     iteration; its parameters and statistics are never updated.
     ``log_rows``, when given, receives (iteration, ce_term, kl_term, total)
-    tuples.
+    tuples.  A multi-label teacher raises ConfigError: the KD loss is
+    softmax-only.
     """
+    if teacher.task == "multi":
+        raise ConfigError("distillation needs a single-label teacher; "
+                          "its KD loss is softmax-only")
     if teacher.num_classes != student.num_classes:
         raise ShapeError(
             f"teacher has {teacher.num_classes} classes, student "

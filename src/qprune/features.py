@@ -377,23 +377,31 @@ def split_dataset(ds: LabeledDataset, val_fraction=0.2, seed=0):
 # generic directory + manifest loader
 # ---------------------------------------------------------------------------
 
+SAMPLE_FILE = "sample_{:05d}.qfea"  # the n-th sample's QFEA file
+
+
+def save_manifest(out_dir, labels, num_classes, task):
+    """Write manifest.csv, the label of each SAMPLE_FILE n in order, and
+    dataset.txt; a multi-label row is a 0/1 vector, written as 'g;h'."""
+    out = Path(out_dir)
+    lines = ["file,label"]
+    for n, label in enumerate(labels):
+        if task == "multi":
+            label = ";".join(str(g) for g in np.flatnonzero(label))
+        else:
+            label = int(label)
+        lines.append(f"{SAMPLE_FILE.format(n)},{label}")
+    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+    (out / "dataset.txt").write_text(f"num_classes={num_classes}\ntask={task}\n")
+
+
 def save_dataset(ds: LabeledDataset, out_dir):
     """Write one QFEA file per sample plus a manifest.csv of labels."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["file,label"]
     for n in range(len(ds)):
-        fname = f"sample_{n:05d}.qfea"
-        save_feature_file(out / fname, ds.features[n])
-        if ds.task == "multi":
-            label = ";".join(str(g) for g in np.flatnonzero(ds.labels[n]))
-        else:
-            label = str(int(ds.labels[n]))
-        lines.append(f"{fname},{label}")
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
-    meta = {"num_classes": ds.num_classes, "task": ds.task}
-    (out / "dataset.txt").write_text(
-        "".join(f"{k}={v}\n" for k, v in sorted(meta.items())))
+        save_feature_file(out / SAMPLE_FILE.format(n), ds.features[n])
+    save_manifest(out, ds.labels, ds.num_classes, ds.task)
 
 
 def load_dataset(data_dir) -> LabeledDataset:

@@ -21,19 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, FormatError, ShapeError, UndefinedMetricError
-from .nn import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    MaxPool2d,
-    ModelGraph,
-    ReLU,
-    ResidualBlock,
-    freeze,
-)
+from .nn import Conv2d, Linear, ModelGraph, ResidualBlock, freeze
 
 CSV_COLUMNS = ("model", "method", "p", "metric", "value", "params", "macs",
                "time_s")
@@ -166,32 +154,24 @@ def count_params(model: ModelGraph) -> int:
     return int(sum(arr.size for _, _, _, arr in model.all_params()))
 
 
-def _layer_macs(layer, in_shape):
-    if isinstance(layer, (Conv2d, Linear)):
-        # one MAC per real weight per output position; on a quaternion
-        # layer's real widths that is 16*q_out*q_in per kernel tap
-        return layer.c_in * math.prod(layer.kernel) * math.prod(layer.out_shape(in_shape))
-    if isinstance(layer, ResidualBlock):
-        total = 0
-        shape = in_shape
-        for inner in layer.layers:
-            total += _layer_macs(inner, shape)
-            shape = inner.out_shape(shape)
-        return total
-    if isinstance(layer, (ReLU, MaxPool2d, AvgPool2d, GlobalAvgPool2d,
-                          Flatten, BatchNorm2d)):
-        return 0
-    raise ValueError(f"no MAC rule for layer {layer.type_name}")
+def _stack_macs(layers, shape):
+    total = 0
+    for layer in layers:
+        if isinstance(layer, (Conv2d, Linear)):
+            # one MAC per real weight per output position; on a quaternion
+            # layer's real widths that is 16*q_out*q_in per kernel tap
+            total += layer.c_in * math.prod(layer.kernel) * math.prod(layer.out_shape(shape))
+        elif isinstance(layer, ResidualBlock):
+            total += _stack_macs(layer.layers, shape)
+        shape = layer.out_shape(shape)
+    return total
 
 
 def count_macs(model: ModelGraph, input_shape=None) -> int:
-    """Multiply-accumulate count of one forward pass on a single item."""
+    """Multiply-accumulate count of one forward pass on a single item;
+    every layer other than a conv or linear one counts 0."""
     shape = tuple(input_shape) if input_shape is not None else model.input_shape
-    total = 0
-    for layer in model.layers:
-        total += _layer_macs(layer, shape)
-        shape = layer.out_shape(shape)
-    return int(total)
+    return int(_stack_macs(model.layers, shape))
 
 
 def timed_inference(model: ModelGraph, batch, repeats=5) -> float:

@@ -19,6 +19,13 @@ maps the real weight gradient back onto the banks with ``hamilton_fold``,
 the expansion's adjoint.  The tying is what yields the 4x kernel-parameter
 reduction relative to a real layer of equal real width; it does not change
 the MACs of a forward pass.
+
+Each layer class declares its constructor arguments once, as ``widths``,
+the attributes holding its channel counts, and ``fields``, the arguments
+that follow them.  ``spec()`` and ``from_spec()`` read the two lists, and
+so do the conversion to a quaternion model (which divides each width of
+the real spec by 4), MAC counting and pruning surgery, which passes pruned
+channels through any layer without widths.
 """
 
 from __future__ import annotations
@@ -176,7 +183,8 @@ class Layer:
 
     type_name = "layer"
     quaternion = False  # whether its maps carry channels on (4, Q) axes
-    widths = ()  # attributes holding its channel counts, its spec's keys
+    widths = ()  # attributes holding its channel counts
+    fields = ()  # the constructor arguments after the widths, in order
 
     def __init__(self):
         self.lid = -1  # assigned by ModelGraph
@@ -209,7 +217,13 @@ class Layer:
         return (4, c // 4) if self.quaternion else (c,)
 
     def spec(self):
-        return {"type": self.type_name, **{k: getattr(self, k) for k in self.widths}}
+        """The layer's type and constructor arguments, widths then fields."""
+        return {"type": self.type_name,
+                **{k: getattr(self, k) for k in self.widths + self.fields}}
+
+    @classmethod
+    def from_spec(cls, d):
+        return cls(*(d[k] for k in cls.widths + cls.fields))
 
     def __repr__(self):
         items = ", ".join(f"{k}={v}" for k, v in self.spec().items() if k != "type")
@@ -223,6 +237,7 @@ class _Weighted(Layer):
     _HamiltonTie can swap in quaternion banks."""
 
     widths = ("c_in", "c_out")
+    fields = ("bias",)
     kernel = ()  # a Linear's; Conv2d sets its (kh, kw)
 
     def _init_weight(self, c_in, c_out, bias, dtype, kernel=()):
@@ -254,6 +269,14 @@ class _Weighted(Layer):
         # zip stops at the weight when there is no bias
         for (name, _), g in zip(self.params(), self.fold(gw, gb)):
             grads[(self.lid, name)] += g
+
+    def spec(self):
+        # the key bias is the has_bias flag (on QConv2d, .bias is the
+        # array), and the kernel is written as a list
+        special = {"bias": self.has_bias, "kernel": list(self.kernel)}
+        return {"type": self.type_name,
+                **{k: special[k] if k in special else getattr(self, k)
+                   for k in self.widths + self.fields}}
 
 
 class _HamiltonTie:
@@ -291,6 +314,7 @@ class Conv2d(_Weighted):
     """Real 2D cross-correlation with optional bias."""
 
     type_name = "conv2d"
+    fields = ("kernel", "stride", "padding", "bias")
 
     def __init__(self, c_in, c_out, kernel=(3, 3), stride=1, padding=0,
                  bias=True, dtype=DEFAULT_DTYPE):
@@ -326,15 +350,6 @@ class Conv2d(_Weighted):
         oh, ow = conv_output_hw(h, w, *self.kernel, self.stride, self.padding)
         return (self.c_out, oh, ow)
 
-    def spec(self):
-        return {**super().spec(), "kernel": list(self.kernel), "stride": self.stride,
-                "padding": self.padding, "bias": self.has_bias}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(*(d[k] for k in cls.widths), d["kernel"], d["stride"],
-                   d["padding"], d["bias"])
-
 
 class QConv2d(_HamiltonTie, Conv2d):
     """Quaternion 2D convolution: Conv2d on the (N, 4*q_in, H, W) view of
@@ -354,19 +369,17 @@ class BatchNorm2d(Layer):
 
     type_name = "batchnorm2d"
     widths = ("channels",)
+    fields = ("eps", "momentum")
 
     def __init__(self, channels, eps=1e-5, momentum=0.9, dtype=DEFAULT_DTYPE):
         super().__init__()
-        self._init_width(channels)
+        setattr(self, self.widths[0], int(channels))  # QBatchNorm2d's is q
         self.eps, self.momentum = float(eps), float(momentum)
         shape = self.axes(self.channels)
         self.gamma = np.ones(shape, dtype=dtype)
         self.beta = np.zeros(shape, dtype=dtype)
         self.running_mean = np.zeros(shape, dtype=dtype)
         self.running_var = np.ones(shape, dtype=dtype)
-
-    def _init_width(self, channels):
-        self.channels = int(channels)
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -430,13 +443,6 @@ class BatchNorm2d(Layer):
             raise ShapeError(f"layer expects {self.channels} real channels, got {shape[0]}")
         return shape
 
-    def spec(self):
-        return {**super().spec(), "eps": self.eps, "momentum": self.momentum}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(d[cls.widths[0]], d["eps"], d["momentum"])
-
 
 class QBatchNorm2d(BatchNorm2d):
     """Split batch norm: BatchNorm2d over the 4*q real channels of a
@@ -451,9 +457,6 @@ class QBatchNorm2d(BatchNorm2d):
 
     def __init__(self, q, eps=1e-5, momentum=0.9, dtype=DEFAULT_DTYPE):
         super().__init__(q, eps, momentum, dtype)
-
-    def _init_width(self, q):
-        self.q = int(q)
 
 
 class ReLU(Layer):
@@ -470,10 +473,6 @@ class ReLU(Layer):
     def backward(self, grad_y, ctx, grads):
         return grad_y * ctx["mask"]
 
-    @classmethod
-    def from_spec(cls, d):
-        return cls()
-
 
 def _pool_windows(x3, wh, ww, sh, sw):
     b, h, w = x3.shape
@@ -489,15 +488,28 @@ def _pool_windows(x3, wh, ww, sh, sw):
     return win, oh, ow
 
 
-class MaxPool2d(Layer):
-    """Per-plane spatial max pooling over the trailing two axes."""
+class _Pool2d(Layer):
+    """A square window pooled per plane over the trailing two axes."""
 
-    type_name = "maxpool2d"
+    fields = ("window", "stride")
 
     def __init__(self, window=2, stride=None):
         super().__init__()
         self.window = int(window)
         self.stride = int(stride) if stride is not None else self.window
+
+    def out_shape(self, shape):
+        c, h, w = shape
+        if self.window > h or self.window > w:
+            raise ShapeError(f"pool window {self.window} larger than input ({h}x{w})")
+        return (c, (h - self.window) // self.stride + 1,
+                (w - self.window) // self.stride + 1)
+
+
+class MaxPool2d(_Pool2d):
+    """Per-plane spatial max pooling."""
+
+    type_name = "maxpool2d"
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
         lead = x.shape[:-2]
@@ -526,30 +538,11 @@ class MaxPool2d(Layer):
         np.add.at(gx, (bi, hi, wi), g3)
         return gx.reshape(ctx["x_shape"])
 
-    def out_shape(self, shape):
-        c, h, w = shape
-        if self.window > h or self.window > w:
-            raise ShapeError(f"pool window {self.window} larger than input ({h}x{w})")
-        return (c, (h - self.window) // self.stride + 1,
-                (w - self.window) // self.stride + 1)
 
-    def spec(self):
-        return {"type": self.type_name, "window": self.window, "stride": self.stride}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(d["window"], d["stride"])
-
-
-class AvgPool2d(Layer):
-    """Per-plane spatial average pooling over the trailing two axes."""
+class AvgPool2d(_Pool2d):
+    """Per-plane spatial average pooling."""
 
     type_name = "avgpool2d"
-
-    def __init__(self, window=2, stride=None):
-        super().__init__()
-        self.window = int(window)
-        self.stride = int(stride) if stride is not None else self.window
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
         _, oh, ow = self.out_shape((0, *x.shape[-2:]))
@@ -573,15 +566,6 @@ class AvgPool2d(Layer):
                 gx[..., a : a + s * oh : s, b : b + s * ow : s] += g
         return gx
 
-    out_shape = MaxPool2d.out_shape
-
-    def spec(self):
-        return {"type": self.type_name, "window": self.window, "stride": self.stride}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(d["window"], d["stride"])
-
 
 class GlobalAvgPool2d(Layer):
     """Average over all spatial positions, keeping 1x1 spatial dims."""
@@ -603,10 +587,6 @@ class GlobalAvgPool2d(Layer):
         c, _, _ = shape
         return (c, 1, 1)
 
-    @classmethod
-    def from_spec(cls, d):
-        return cls()
-
 
 class Flatten(Layer):
     """Collapse everything after the batch axis.  Quaternion maps flatten
@@ -627,10 +607,6 @@ class Flatten(Layer):
         for d in shape:
             n *= d
         return (n,)
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls()
 
 
 class Linear(_Weighted):
@@ -665,13 +641,6 @@ class Linear(_Weighted):
             raise ShapeError(f"{self.type_name} expects {self.c_in} features, flat "
                              f"or pooled to 1x1; got {tuple(shape)}")
         return (self.c_out,)
-
-    def spec(self):
-        return {**super().spec(), "bias": self.has_bias}
-
-    @classmethod
-    def from_spec(cls, d):
-        return cls(*(d[k] for k in cls.widths), d["bias"])
 
 
 class QLinear(_HamiltonTie, Linear):
@@ -1065,9 +1034,11 @@ def qlinear(layer: QLinear, x):
 def convert_architecture(real_model: ModelGraph, seed=0) -> ModelGraph:
     """Build the quaternion equivalent of a real convolutional model.
 
-    Every conv/linear width C becomes C/4 quaternion channels; the final
-    classifier stays a real linear layer over the flattened planes.  Weights
-    are freshly initialized (the conversion is architectural).
+    Each layer with widths becomes its quaternion twin ``"q" + type_name``
+    on the same spec with every width C divided into C/4 quaternion
+    channels; the final classifier stays a real linear layer over the
+    flattened planes, and a layer without widths is rebuilt as it is.
+    Weights are freshly initialized (the conversion is architectural).
     """
     if real_model.quaternion:
         raise ConversionError("model is already quaternion-valued")
@@ -1075,48 +1046,29 @@ def convert_architecture(real_model: ModelGraph, seed=0) -> ModelGraph:
         raise ConversionError(
             f"input channel count {real_model.input_shape[0]} not divisible by 4"
         )
+    head = max((i for i, l in enumerate(real_model.layers) if isinstance(l, Linear)),
+               default=None)
 
-    linear_indices = [i for i, l in enumerate(real_model.layers)
-                      if isinstance(l, Linear)]
-    head = linear_indices[-1] if linear_indices else None
-
-    def convert_layer(layer, idx, label):
+    def convert_layer(layer, label, is_head=False):
         if layer.quaternion:
             raise ConversionError(f"layer {label}: {layer.type_name} is already quaternion")
-        if isinstance(layer, Conv2d):
-            if layer.c_in % 4 or layer.c_out % 4:
-                raise ConversionError(
-                    f"layer {label} (conv2d {layer.c_in}->{layer.c_out}): "
-                    "channel counts not divisible by 4"
-                )
-            return QConv2d(layer.c_in // 4, layer.c_out // 4, layer.kernel,
-                           layer.stride, layer.padding, layer.has_bias)
-        if isinstance(layer, BatchNorm2d):
-            if layer.channels % 4:
-                raise ConversionError(
-                    f"layer {label} (batchnorm2d {layer.channels}): "
-                    "channel count not divisible by 4"
-                )
-            return QBatchNorm2d(layer.channels // 4, layer.eps, layer.momentum)
-        if isinstance(layer, Linear):
-            if idx == head:
-                return Linear(layer.c_in, layer.c_out, layer.has_bias)
-            if layer.c_in % 4 or layer.c_out % 4:
-                raise ConversionError(
-                    f"layer {label} (linear {layer.c_in}->{layer.c_out}): "
-                    "feature counts not divisible by 4"
-                )
-            return QLinear(layer.c_in // 4, layer.c_out // 4, layer.has_bias)
+        if type(layer) not in LAYER_TYPES.values():
+            raise ConversionError(f"layer {label}: cannot convert {layer.type_name}")
         if isinstance(layer, ResidualBlock):
-            return ResidualBlock([
-                convert_layer(inner, None, f"{label}.{k}")
-                for k, inner in enumerate(layer.layers)
-            ])
-        if isinstance(layer, (ReLU, MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten)):
-            return build_layer(layer.spec())
-        raise ConversionError(f"layer {label}: cannot convert {layer.type_name}")
+            return ResidualBlock([convert_layer(inner, f"{label}.{k}")
+                                  for k, inner in enumerate(layer.layers)])
+        spec = layer.spec()
+        if not layer.widths or is_head:
+            return build_layer(spec)
+        widths = [spec[k] for k in layer.widths]
+        if any(c % 4 for c in widths):
+            raise ConversionError(
+                f"layer {label} ({layer.type_name} {'->'.join(map(str, widths))}): "
+                "channel counts not divisible by 4")
+        twin = LAYER_TYPES["q" + layer.type_name]
+        return twin.from_spec({**spec, **{k: c // 4 for k, c in zip(twin.widths, widths)}})
 
-    layers = [convert_layer(l, i, str(i)) for i, l in enumerate(real_model.layers)]
+    layers = [convert_layer(l, str(i), i == head) for i, l in enumerate(real_model.layers)]
     model = ModelGraph(layers, real_model.input_shape, real_model.num_classes,
                        quaternion=True, task=real_model.task,
                        name=(real_model.name + "-quat") if real_model.name else "",

@@ -30,19 +30,7 @@ from .exceptions import (
     PlanError,
     SurgeryError,
 )
-from .nn import (
-    AvgPool2d,
-    Flatten,
-    GlobalAvgPool2d,
-    Linear,
-    MaxPool2d,
-    ModelGraph,
-    QBatchNorm2d,
-    QConv2d,
-    QLinear,
-    ReLU,
-    ResidualBlock,
-)
+from .nn import Linear, ModelGraph, QBatchNorm2d, QConv2d, QLinear, ResidualBlock
 
 METHODS = ("l1", "gm", "op")
 
@@ -224,8 +212,6 @@ def _slice_downstream(model, shapes, idx, keep, m_old):
             for name in ("gamma", "beta", "running_mean", "running_var"):
                 layer.set_array(name, getattr(layer, name)[:, keep].copy())
             layer.q = len(keep)
-        elif isinstance(layer, (ReLU, MaxPool2d, AvgPool2d, GlobalAvgPool2d, Flatten)):
-            pass
         elif isinstance(layer, (QConv2d, QLinear)):
             if layer.q_in != m_old:
                 raise SurgeryError(
@@ -258,7 +244,7 @@ def _slice_downstream(model, shapes, idx, keep, m_old):
                 f"pruned channels flow into residual block at layer {j}; "
                 "residual interiors are not pruned"
             )
-        else:
+        elif layer.widths:  # a layer without widths keeps the channels
             raise SurgeryError(
                 f"cannot propagate pruning through layer {j} ({layer.type_name})"
             )

@@ -423,7 +423,7 @@ def test_criterion_09_prune_kd_cost(desk_dataset, teacher):
     t_kd = time.perf_counter() - t0
     kd_forwards = kd_model.forward_count + model.forward_count
 
-    # eval_every=0 still evaluates once at the end of train_loop
+    # eval_every=0 runs no eval, so the extra forwards are the teacher's
     assert kd_forwards - ft_forwards == iters
     assert model.forward_count == iters  # exactly one teacher pass per step
     assert t_kd / iters > t_ft / iters

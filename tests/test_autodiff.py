@@ -396,6 +396,24 @@ class TestTrainLoop:
             train_loop(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]),
                        TrainConfig(iterations=-1))
 
+    def test_multi_label_model_trains_on_sigmoid_cross_entropy(self):
+        from qprune.features import synth_dataset
+        from qprune.models import build_model
+
+        ds = synth_dataset(4, 40, seed=2, frames=16, bins=16, multilabel=True)
+        runs = []
+        for loss_fn in (None, lambda z, yb, tape, idx: binary_cross_entropy(z, yb, tape)):
+            model = build_model("qcnn-mini", 4, (4, 16, 16), seed=1, task="multi")
+            rows = []
+            result = train_loop(model, ds.features, ds.labels,
+                                TrainConfig(iterations=3, eval_every=3),
+                                loss_fn=loss_fn, log_rows=rows)
+            assert result.history is rows and result.iterations_run == 3
+            runs.append(rows)
+        assert runs[0] == runs[1]  # the default loss of a multi model is BCE
+        assert [it for it, _, _ in runs[0]] == [1, 2, 3]
+        assert 0.0 <= runs[0][-1][2] <= 1.0  # a mAP
+
     def test_eval_off_runs_no_hidden_eval(self):
         from qprune.models import build_model
 

@@ -46,9 +46,10 @@ class TestFeaturesCommand:
         code = main(["features", "wav", "--input", str(tmp_path / "wavs"),
                      "--out", str(out)])
         assert code == 0
-        manifest = (out / "manifest.csv").read_text().splitlines()
-        assert manifest[0] == "file,label"
-        assert len(manifest) == 5
+        assert (out / "manifest.csv").read_bytes() == (
+            b"file,label\nsample_00000.qfea,0\nsample_00001.qfea,0\n"
+            b"sample_00002.qfea,1\nsample_00003.qfea,1\n")
+        assert (out / "dataset.txt").read_bytes() == b"num_classes=2\ntask=single\n"
         assert (out / "classes.txt").read_text().split() == ["drum", "flute"]
 
     def test_same_seed_byte_identical(self, tmp_path):
@@ -470,6 +471,11 @@ MALFORMED = [
     ("label_out_of_range", ["eval"],
      _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,7"), 1),
     ("task_unknown", ["train"], _edit("dataset.txt", "task=single", "task=foo"), 1),
+    # the single-label checkpoint against multi-label data
+    ("distill_multi_label", ["distill"],
+     _edit("dataset.txt", "task=single", "task=multi"), 2),
+    ("prune_finetune_multi_label", ["prune", "--finetune-iterations", "1"],
+     _edit("dataset.txt", "task=single", "task=multi"), 2),
 ]
 
 

@@ -227,6 +227,17 @@ class TestDistillTrain:
         distill_train(teacher, student, ds, KDConfig(), cfg)
         assert list(teacher_banks.values()) == [1] * 6
 
+    def test_multi_label_teacher_rejected(self):
+        from qprune.exceptions import ConfigError
+        from qprune.models import build_model
+
+        teacher = build_model("qcnn-mini", 3, (4, 16, 16), seed=6, task="multi")
+        student = build_model("qcnn-mini", 3, (4, 16, 16), seed=0, task="multi")
+        ds = synth_dataset(3, 9, seed=2, frames=16, bins=16, multilabel=True)
+        with pytest.raises(ConfigError, match="softmax"):
+            distill_train(teacher, student, ds, KDConfig(), TrainConfig(iterations=1))
+        assert teacher.forward_count == student.forward_count == 0
+
     def test_class_count_mismatch(self):
         from qprune.models import build_model
 

@@ -414,8 +414,52 @@ def test_quaternion_layers_are_their_real_layers():
     assert isinstance(qbn, BatchNorm2d)
     assert (qconv.c_in, qconv.c_out, qlin.c_in, qlin.c_out, qbn.channels) == (8, 12, 8, 12, 12)
     assert qconv.real_weight().shape == (12, 8, 1, 1)
-    assert qconv.spec() == {"type": "qconv2d", "q_in": 2, "q_out": 3, "kernel": [1, 1],
-                            "stride": 1, "padding": 0, "bias": True}
+
+
+# one layer of every type with non-default hyperparameters, and its spec
+LAYER_SPECS = [
+    (Conv2d(4, 8, (2, 3), stride=2, padding=1, bias=False),
+     {"type": "conv2d", "c_in": 4, "c_out": 8, "kernel": [2, 3], "stride": 2,
+      "padding": 1, "bias": False}),
+    (QConv2d(2, 3, (1, 1)),
+     {"type": "qconv2d", "q_in": 2, "q_out": 3, "kernel": [1, 1], "stride": 1,
+      "padding": 0, "bias": True}),
+    (BatchNorm2d(8, eps=1e-3, momentum=0.8),
+     {"type": "batchnorm2d", "channels": 8, "eps": 1e-3, "momentum": 0.8}),
+    (QBatchNorm2d(3, eps=1e-4, momentum=0.5),
+     {"type": "qbatchnorm2d", "q": 3, "eps": 1e-4, "momentum": 0.5}),
+    (ReLU(), {"type": "relu"}),
+    (MaxPool2d(3, stride=1), {"type": "maxpool2d", "window": 3, "stride": 1}),
+    (AvgPool2d(2), {"type": "avgpool2d", "window": 2, "stride": 2}),
+    (GlobalAvgPool2d(), {"type": "globalavgpool2d"}),
+    (Flatten(), {"type": "flatten"}),
+    (Linear(12, 5, bias=False),
+     {"type": "linear", "c_in": 12, "c_out": 5, "bias": False}),
+    (QLinear(3, 2), {"type": "qlinear", "q_in": 3, "q_out": 2, "bias": True}),
+    (ResidualBlock([QBatchNorm2d(2, momentum=0.7), ReLU()]),
+     {"type": "residual", "layers": [
+         {"type": "qbatchnorm2d", "q": 2, "eps": 1e-5, "momentum": 0.7},
+         {"type": "relu"}]}),
+]
+
+
+def test_layer_specs_cover_every_layer_type():
+    from qprune.nn import LAYER_TYPES
+
+    assert sorted(type(layer).__name__ for layer, _ in LAYER_SPECS) == sorted(
+        cls.__name__ for cls in LAYER_TYPES.values())
+
+
+@pytest.mark.parametrize("layer,spec", LAYER_SPECS,
+                         ids=[spec["type"] for _, spec in LAYER_SPECS])
+def test_spec_round_trips_through_build_layer(layer, spec):
+    from qprune.nn import build_layer
+
+    assert layer.spec() == spec
+    rebuilt = build_layer(spec)
+    assert type(rebuilt) is type(layer) and rebuilt.spec() == spec
+    assert [(n, a.shape) for n, a in rebuilt.params() + rebuilt.buffers()] == [
+        (n, a.shape) for n, a in layer.params() + layer.buffers()]
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +581,45 @@ class TestConvertArchitecture:
         zr = inference(model, model_input(model, x))
         zq = inference(qmodel, model_input(qmodel, x))
         assert zr.shape == zq.shape == (2, 3)
+
+    def test_every_real_layer_type_against_literal_specs(self):
+        # a hidden Linear becomes QLinear, the head stays Linear, residual
+        # interiors are converted and hyperparameters carry over
+        model = ModelGraph([
+            Conv2d(4, 8, (3, 3), stride=2, padding=1), BatchNorm2d(8, 1e-3, 0.8),
+            ReLU(), MaxPool2d(2, 1),
+            ResidualBlock([Conv2d(8, 8, (3, 3), padding=1, bias=False),
+                           BatchNorm2d(8), ReLU()]),
+            AvgPool2d(2), GlobalAvgPool2d(), Flatten(), Linear(8, 16, bias=False),
+            ReLU(), Linear(16, 3),
+        ], (4, 12, 12), 3, quaternion=False)
+        qmodel = convert_architecture(model)
+        assert qmodel.quaternion
+        assert [layer.spec() for layer in qmodel.layers] == [
+            {"type": "qconv2d", "q_in": 1, "q_out": 2, "kernel": [3, 3], "stride": 2,
+             "padding": 1, "bias": True},
+            {"type": "qbatchnorm2d", "q": 2, "eps": 1e-3, "momentum": 0.8},
+            {"type": "relu"},
+            {"type": "maxpool2d", "window": 2, "stride": 1},
+            {"type": "residual", "layers": [
+                {"type": "qconv2d", "q_in": 2, "q_out": 2, "kernel": [3, 3],
+                 "stride": 1, "padding": 1, "bias": False},
+                {"type": "qbatchnorm2d", "q": 2, "eps": 1e-5, "momentum": 0.9},
+                {"type": "relu"}]},
+            {"type": "avgpool2d", "window": 2, "stride": 2},
+            {"type": "globalavgpool2d"},
+            {"type": "flatten"},
+            {"type": "qlinear", "q_in": 2, "q_out": 4, "bias": False},
+            {"type": "relu"},
+            {"type": "linear", "c_in": 16, "c_out": 3, "bias": True},
+        ]
+        assert qmodel.layer_shapes()[-1] == (3,)
+
+    def test_indivisible_residual_interior_named(self):
+        model = ModelGraph([ResidualBlock([Conv2d(4, 4, (1, 1)), BatchNorm2d(6)])],
+                           (4, 4, 4), 2, quaternion=False)
+        with pytest.raises(ConversionError, match=r"layer 0\.1 \(batchnorm2d 6\)"):
+            convert_architecture(model)
 
     def test_conv_kernel_params_quartered(self):
         model = small_real_model()
