@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError, ShapeError
-from .nn import ModelGraph, freeze, model_input
+from .nn import ModelGraph, _backprop_layers, _run_layers, freeze, model_input
 
 
 class Tape:
@@ -27,7 +27,6 @@ class Tape:
         self.mode = mode
         self.records = []  # (layer, ctx) in forward order
         self.output = None
-        self.grads = None
 
     def replay(self):
         """Re-run the recorded forward pass without touching BN statistics.
@@ -36,11 +35,7 @@ class Tape:
         train-mode normalization uses batch statistics, so suppressing the
         running-stat update changes nothing downstream.
         """
-        h = self.x
-        for layer in self.model.layers:
-            h, _ = layer.forward(h, mode=self.mode, record=False,
-                                 update_stats=False)
-        return h
+        return _run_layers(self.model.layers, self.x, self.mode, update_stats=False)[0]
 
 
 def _check_mode(mode):
@@ -56,21 +51,15 @@ def forward(model: ModelGraph, batch, mode="train"):
     """
     _check_mode(mode)
     tape = Tape(model, batch, mode)
-    h = batch
-    for layer in model.layers:
-        h, ctx = layer.forward(h, mode=mode, record=True)
-        tape.records.append((layer, ctx))
-    tape.output = h
+    tape.output, tape.records = _run_layers(model.layers, batch, mode, record=True)
     model.forward_count += 1
-    return h, tape
+    return tape.output, tape
 
 
 def inference(model: ModelGraph, batch, mode="eval", update_stats=True):
     """Forward pass without recording backward contexts."""
     _check_mode(mode)
-    h = batch
-    for layer in model.layers:
-        h, _ = layer.forward(h, mode=mode, record=False, update_stats=update_stats)
+    h, _ = _run_layers(model.layers, batch, mode, update_stats=update_stats)
     model.forward_count += 1
     return h
 
@@ -187,10 +176,8 @@ def backward(tape: Tape, loss: Loss):
     g = np.asarray(loss.dlogits, dtype=tape.output.dtype)
     if g.shape != tape.output.shape:
         raise ShapeError(f"loss gradient {g.shape} vs logits {tape.output.shape}")
-    for k, (layer, ctx) in reversed(list(enumerate(tape.records))):
-        # nothing reads the gradient of the model input
-        g = layer.backward(g, ctx if k else {**ctx, "input_grad": False}, grads)
-    tape.grads = grads
+    # nothing reads the gradient of the model input
+    _backprop_layers(tape.records, g, grads, input_grad=False)
     return grads
 
 

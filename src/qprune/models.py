@@ -1,11 +1,13 @@
 """Built-in desk-scale model specs.
 
-``qcnn-mini`` is a six-block feedforward quaternion CNN whose real widths
-grow 16 -> 256; the last three conv blocks carry most of the parameters and
-are the default pruning targets.  ``qresnet-mini`` adds two residual blocks
-and marks the two tail conv layers prunable.  ``cnn-mini`` is the
-real-valued control with identical real widths, consuming the same
-four-plane input as 4*Q ordinary channels.
+``cnn-mini`` and ``qcnn-mini`` are one six-block feedforward CNN built
+from one width table, whose real widths grow 16 -> 256; the
+last three conv blocks carry most of the parameters and are the default
+pruning targets.  ``cnn-mini`` is the real-valued control, consuming the
+four-plane input as 4*Q ordinary channels; ``qcnn-mini`` is the quaternion
+model of the same real widths, so its quaternion widths are the table
+divided by 4.  ``qresnet-mini`` adds two residual blocks and marks the two
+tail conv layers prunable.
 """
 
 from __future__ import annotations
@@ -30,34 +32,32 @@ from .nn import (
 
 MODEL_NAMES = ("qcnn-mini", "qresnet-mini", "cnn-mini")
 
-
-def _qblock(q_in, q_out, pool):
-    layers = [QConv2d(q_in, q_out, (3, 3), padding=1), QBatchNorm2d(q_out), ReLU()]
-    if pool:
-        layers.append(AvgPool2d(2))
-    return layers
+# real widths of the six conv blocks; qcnn-mini's quaternion widths are these / 4
+_WIDTHS = (16, 32, 64, 128, 256, 256)
 
 
-def _rblock(c_in, c_out, pool):
-    layers = [Conv2d(c_in, c_out, (3, 3), padding=1), BatchNorm2d(c_out), ReLU()]
-    if pool:
-        layers.append(AvgPool2d(2))
-    return layers
+def _plain_cnn(name, quaternion, num_classes, input_shape, task):
+    """Six conv-BN-ReLU blocks of _WIDTHS, the first four average-pooled,
+    then a pooled linear head; the last three convs are prunable."""
+    conv, bn, div = (QConv2d, QBatchNorm2d, 4) if quaternion else (Conv2d, BatchNorm2d, 1)
+    c_in = input_shape[0] // div
+    layers = []
+    prunable = []
+    for b, width in enumerate(_WIDTHS):
+        if b >= 3:
+            prunable.append(len(layers))  # the conv index of this block
+        c_out = width // div
+        layers += [conv(c_in, c_out, (3, 3), padding=1), bn(c_out), ReLU()]
+        if b < 4:
+            layers.append(AvgPool2d(2))
+        c_in = c_out
+    layers.extend([GlobalAvgPool2d(), Flatten(), Linear(_WIDTHS[-1], num_classes)])
+    return ModelGraph(layers, input_shape, num_classes, quaternion=quaternion,
+                      task=task, name=name, prunable=prunable)
 
 
 def qcnn_mini(num_classes, input_shape=(4, 32, 16), task="single"):
-    widths = (4, 8, 16, 32, 64, 64)  # quaternion channels; 16..256 real
-    q_in = input_shape[0] // 4
-    layers = []
-    prunable = []
-    for b, q_out in enumerate(widths):
-        if b >= 3:
-            prunable.append(len(layers))  # the qconv index of this block
-        layers.extend(_qblock(q_in, q_out, pool=b < 4))
-        q_in = q_out
-    layers.extend([GlobalAvgPool2d(), Flatten(), Linear(4 * widths[-1], num_classes)])
-    return ModelGraph(layers, input_shape, num_classes, quaternion=True,
-                      task=task, name="qcnn-mini", prunable=prunable)
+    return _plain_cnn("qcnn-mini", True, num_classes, input_shape, task)
 
 
 def qresnet_mini(num_classes, input_shape=(4, 32, 16), task="single"):
@@ -83,18 +83,7 @@ def qresnet_mini(num_classes, input_shape=(4, 32, 16), task="single"):
 
 
 def cnn_mini(num_classes, input_shape=(4, 32, 16), task="single"):
-    widths = (16, 32, 64, 128, 256, 256)
-    c_in = input_shape[0]
-    layers = []
-    prunable = []
-    for b, c_out in enumerate(widths):
-        if b >= 3:
-            prunable.append(len(layers))
-        layers.extend(_rblock(c_in, c_out, pool=b < 4))
-        c_in = c_out
-    layers.extend([GlobalAvgPool2d(), Flatten(), Linear(widths[-1], num_classes)])
-    return ModelGraph(layers, input_shape, num_classes, quaternion=False,
-                      task=task, name="cnn-mini", prunable=prunable)
+    return _plain_cnn("cnn-mini", False, num_classes, input_shape, task)
 
 
 _BUILDERS = {"qcnn-mini": qcnn_mini, "qresnet-mini": qresnet_mini,

@@ -38,6 +38,7 @@ import struct
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     ConversionError,
     FormatError,
     ShapeError,
@@ -321,6 +322,10 @@ class Conv2d(_Weighted):
         super().__init__()
         self.kernel = (int(kernel[0]), int(kernel[1]))
         self.stride, self.padding = int(stride), int(padding)
+        if min(self.kernel) < 1 or self.stride < 1 or self.padding < 0:
+            raise ConfigError(f"{self.type_name}: kernel {self.kernel} and stride "
+                              f"{self.stride} must be at least 1, padding "
+                              f"{self.padding} at least 0")
         self._init_weight(c_in, c_out, bias, dtype, self.kernel)
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
@@ -474,20 +479,6 @@ class ReLU(Layer):
         return grad_y * ctx["mask"]
 
 
-def _pool_windows(x3, wh, ww, sh, sw):
-    b, h, w = x3.shape
-    if wh > h or ww > w:
-        raise ShapeError(f"pool window ({wh}x{ww}) larger than input ({h}x{w})")
-    oh = (h - wh) // sh + 1
-    ow = (w - ww) // sw + 1
-    s0, s1, s2 = x3.strides
-    win = np.lib.stride_tricks.as_strided(
-        x3, shape=(b, oh, ow, wh, ww),
-        strides=(s0, s1 * sh, s2 * sw, s1, s2), writeable=False,
-    )
-    return win, oh, ow
-
-
 class _Pool2d(Layer):
     """A square window pooled per plane over the trailing two axes."""
 
@@ -497,6 +488,9 @@ class _Pool2d(Layer):
         super().__init__()
         self.window = int(window)
         self.stride = int(stride) if stride is not None else self.window
+        if self.window < 1 or self.stride < 1:
+            raise ConfigError(f"{self.type_name}: window {self.window} and "
+                              f"stride {self.stride} must be at least 1")
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -505,38 +499,38 @@ class _Pool2d(Layer):
         return (c, (h - self.window) // self.stride + 1,
                 (w - self.window) // self.stride + 1)
 
+    def _taps(self, x_shape):
+        """(oh, ow, taps): the pooled size of an input of x_shape and, for
+        each window tap in row-major order, its strided index into x."""
+        _, oh, ow = self.out_shape((0, *x_shape[-2:]))
+        s = self.stride
+        return oh, ow, [(..., slice(a, a + s * oh, s), slice(b, b + s * ow, s))
+                        for a in range(self.window) for b in range(self.window)]
+
 
 class MaxPool2d(_Pool2d):
-    """Per-plane spatial max pooling."""
+    """Per-plane spatial max pooling; of tied taps the first in row-major
+    order takes the gradient."""
 
     type_name = "maxpool2d"
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        lead = x.shape[:-2]
-        h, w = x.shape[-2:]
-        x3 = x.reshape(-1, h, w)
-        win, oh, ow = _pool_windows(x3, self.window, self.window, self.stride, self.stride)
-        flat = win.reshape(x3.shape[0], oh, ow, -1)
-        arg = flat.argmax(axis=-1)
-        y3 = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        y = y3.reshape(lead + (oh, ow))
-        ctx = None
-        if record:
-            ctx = {"arg": arg, "x_shape": x.shape, "ohw": (oh, ow)}
+        _, _, (first, *rest) = self._taps(x.shape)
+        y = x[first].copy()
+        arg = np.zeros(y.shape, dtype=np.intp)
+        for k, tap in enumerate(rest, start=1):
+            wins = x[tap] > y
+            np.copyto(y, x[tap], where=wins)
+            arg[wins] = k
+        ctx = {"arg": arg, "x_shape": x.shape} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
-        h, w = ctx["x_shape"][-2:]
-        oh, ow = ctx["ohw"]
-        arg = ctx["arg"]
-        b = arg.shape[0]
-        g3 = grad_y.reshape(b, oh, ow)
-        gx = np.zeros((b, h, w), dtype=grad_y.dtype)
-        bi, oi, oj = np.indices(arg.shape, sparse=False)
-        hi = oi * self.stride + arg // self.window
-        wi = oj * self.stride + arg % self.window
-        np.add.at(gx, (bi, hi, wi), g3)
-        return gx.reshape(ctx["x_shape"])
+        *_, taps = self._taps(ctx["x_shape"])
+        gx = np.zeros(ctx["x_shape"], dtype=grad_y.dtype)
+        for k, tap in enumerate(taps):
+            gx[tap] += np.where(ctx["arg"] == k, grad_y, 0)
+        return gx
 
 
 class AvgPool2d(_Pool2d):
@@ -545,25 +539,21 @@ class AvgPool2d(_Pool2d):
     type_name = "avgpool2d"
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        _, oh, ow = self.out_shape((0, *x.shape[-2:]))
+        oh, ow, taps = self._taps(x.shape)
         # in x's memory order, so that no add mixes two layouts
         y = np.zeros_like(x[..., :oh, :ow])
-        s = self.stride
-        for a in range(self.window):
-            for b in range(self.window):
-                y += x[..., a : a + s * oh : s, b : b + s * ow : s]
+        for tap in taps:
+            y += x[tap]
         y /= self.window * self.window
         ctx = {"x_shape": x.shape} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
-        oh, ow = grad_y.shape[-2:]
         g = grad_y / (self.window * self.window)
         gx = np.zeros(ctx["x_shape"], dtype=grad_y.dtype)
-        s = self.stride
-        for a in range(self.window):
-            for b in range(self.window):
-                gx[..., a : a + s * oh : s, b : b + s * ow : s] += g
+        *_, taps = self._taps(gx.shape)
+        for tap in taps:
+            gx[tap] += g
         return gx
 
 
@@ -656,6 +646,29 @@ class QLinear(_HamiltonTie, Linear):
         super().__init__(q_in, q_out, bias, dtype)
 
 
+def _run_layers(layers, x, mode="eval", record=False, update_stats=True):
+    """The one forward loop over a layer stack, be it a model's, a residual
+    interior or a frozen snapshot: returns (y, records), records holding
+    the (layer, ctx) pairs _backprop_layers reads when record is true."""
+    records = []
+    for layer in layers:
+        x, ctx = layer.forward(x, mode=mode, record=record, update_stats=update_stats)
+        if record:
+            records.append((layer, ctx))
+    return x, records
+
+
+def _backprop_layers(records, g, grads, input_grad=True):
+    """The one backward loop: g through the recorded stack in reverse,
+    adding each layer's parameter gradients into grads.  Without
+    input_grad the first layer is told that nothing reads its input
+    gradient, which a conv then does not compute."""
+    for k, (layer, ctx) in reversed(list(enumerate(records))):
+        g = layer.backward(g, ctx if k or input_grad else {**ctx, "input_grad": False},
+                           grads)
+    return g
+
+
 class ResidualBlock(Layer):
     """y = relu(x + inner(x)) for a shape-preserving inner layer stack."""
 
@@ -665,21 +678,8 @@ class ResidualBlock(Layer):
         super().__init__()
         self.layers = list(layers)
 
-    def params(self):
-        return []
-
-    def init_params(self, rng):
-        for layer in self.layers:
-            layer.init_params(rng)
-
     def forward(self, x, mode="eval", record=False, update_stats=True):
-        h = x
-        inner = []
-        for layer in self.layers:
-            h, ctx = layer.forward(h, mode=mode, record=record,
-                                   update_stats=update_stats)
-            if record:
-                inner.append((layer, ctx))
+        h, inner = _run_layers(self.layers, x, mode, record, update_stats)
         if h.shape != x.shape:
             raise ShapeError(
                 f"residual inner stack changed shape {x.shape} -> {h.shape}"
@@ -691,10 +691,7 @@ class ResidualBlock(Layer):
 
     def backward(self, grad_y, ctx, grads):
         g = grad_y * ctx["mask"]
-        g_inner = g
-        for layer, lctx in reversed(ctx["inner"]):
-            g_inner = layer.backward(g_inner, lctx, grads)
-        return g + g_inner
+        return g + _backprop_layers(ctx["inner"], g, grads)
 
     def out_shape(self, shape):
         s = shape
@@ -732,6 +729,13 @@ def build_layer(spec):
 # model graph
 # ---------------------------------------------------------------------------
 
+def _walk(layers):
+    for layer in layers:
+        yield layer
+        if isinstance(layer, ResidualBlock):
+            yield from _walk(layer.layers)
+
+
 class ModelGraph:
     """An ordered stack of layers with shape metadata.
 
@@ -759,11 +763,8 @@ class ModelGraph:
             layer.lid = lid
 
     def walk(self):
-        """All layers depth-first, entering residual blocks."""
-        for layer in self.layers:
-            yield layer
-            if isinstance(layer, ResidualBlock):
-                yield from layer.layers
+        """All layers depth-first, entering residual blocks at any depth."""
+        return _walk(self.layers)
 
     def all_params(self):
         """(lid, layer, name, array) for every learned parameter."""
@@ -945,11 +946,9 @@ class FrozenModel:
 
     def __call__(self, batch):
         """The logits ``inference(model, batch)`` gives, to float rounding."""
-        h = batch
-        for layer in self.layers:
-            h, _ = layer.forward(h)
+        y, _ = _run_layers(self.layers, batch)
         self.model.forward_count += 1
-        return h
+        return y
 
 
 def freeze(model: ModelGraph) -> FrozenModel:

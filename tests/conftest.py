@@ -167,6 +167,37 @@ def toy_residual_model(num_classes=2, dtype=np.float64, seed=0,
     return model
 
 
+def toy_nested_residual_model(num_classes=2, dtype=np.float64, seed=0,
+                              for_gradcheck=False):
+    """A residual block inside a residual block, as a .qprs header may
+    describe it; every parameter sits at depth 1 or 2."""
+    layers = [
+        QConv2d(1, 2, (3, 3), padding=1, dtype=dtype),
+        ResidualBlock([
+            QConv2d(2, 2, (3, 3), padding=1, dtype=dtype),
+            QBatchNorm2d(2, dtype=dtype),
+            ReLU(),
+            ResidualBlock([
+                QConv2d(2, 2, (3, 3), padding=1, dtype=dtype),
+                QBatchNorm2d(2, dtype=dtype),
+            ]),
+            QConv2d(2, 2, (1, 1), dtype=dtype),
+            QBatchNorm2d(2, dtype=dtype),
+        ]),
+        GlobalAvgPool2d(),
+        Flatten(),
+        Linear(8, num_classes, dtype=dtype),
+    ]
+    model = ModelGraph(layers, (4, 6, 6), num_classes, quaternion=True,
+                       name="toy-nested")
+    rng = np.random.default_rng(seed)
+    if for_gradcheck:
+        gradcheck_init(model, rng)
+    else:
+        model.init_params(rng)
+    return model
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)

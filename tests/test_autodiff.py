@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     finite_difference_check,
+    toy_nested_residual_model,
     toy_quaternion_model,
     toy_real_model,
     toy_residual_model,
@@ -239,6 +240,12 @@ class TestGradientChecks:
         finite_difference_check(model, x, self._ce_loss([0, 1, 0]),
                                 n_samples=120)
 
+    def test_residual_block_inside_residual_block(self):
+        model = toy_nested_residual_model(seed=14, for_gradcheck=True)
+        x = np.random.default_rng(24).normal(size=(3, 4, 1, 6, 6))
+        finite_difference_check(model, x, self._ce_loss([0, 1, 0]),
+                                n_samples=120)
+
     def test_bce_loss_path(self):
         model = toy_real_model(seed=13, for_gradcheck=True)
         x = np.random.default_rng(23).normal(size=(3, 3, 8, 8))
@@ -250,23 +257,26 @@ class TestGradientChecks:
         finite_difference_check(model, x, make, n_samples=60)
 
     def test_maxpool_backward_routing_oracle(self, rng):
-        # direct oracle: gradient scatters to each window's argmax only
+        # direct oracle: gradient scatters to each window's argmax only, the
+        # first maximum in row-major order when taps tie
         from qprune.nn import MaxPool2d
 
-        pool = MaxPool2d(2)
-        x = rng.normal(size=(2, 3, 6, 6))
-        y, ctx = pool.forward(x, record=True)
-        g = rng.normal(size=y.shape)
-        gx = pool.backward(g, ctx, {})
-        want = np.zeros_like(x)
-        for b in range(2):
-            for c in range(3):
-                for i in range(3):
-                    for j in range(3):
-                        win = x[b, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-                        a = np.unravel_index(win.argmax(), (2, 2))
-                        want[b, c, 2 * i + a[0], 2 * j + a[1]] += g[b, c, i, j]
-        np.testing.assert_allclose(gx, want, rtol=1e-12)
+        for window, stride, ties in [(2, 2, False), (2, 2, True), (3, 1, False),
+                                     (3, 1, True), (2, 3, True)]:
+            pool = MaxPool2d(window, stride)
+            x = rng.normal(size=(2, 3, 7, 7))
+            if ties:
+                x = np.round(x)
+            y, ctx = pool.forward(x, record=True)
+            g = rng.normal(size=y.shape)
+            gx = pool.backward(g, ctx, {})
+            want = np.zeros_like(x)
+            for b, c, i, j in np.ndindex(y.shape):
+                win = x[b, c, stride * i : stride * i + window, stride * j : stride * j + window]
+                assert y[b, c, i, j] == win.max()
+                a = np.unravel_index(win.argmax(), (window, window))
+                want[b, c, stride * i + a[0], stride * j + a[1]] += g[b, c, i, j]
+            np.testing.assert_allclose(gx, want, rtol=1e-12)
 
 
 class TestOptimizers:

@@ -5,9 +5,18 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import toy_nested_residual_model
 
-from qprune.autodiff import OptimState, backward, cross_entropy, forward, one_hot
+from qprune.autodiff import (
+    OptimState,
+    backward,
+    cross_entropy,
+    forward,
+    inference,
+    one_hot,
+)
 from qprune.exceptions import FormatError, TruncationError
+from qprune.metrics import count_params
 from qprune.models import build_model
 from qprune.nn import (
     Flatten,
@@ -42,6 +51,18 @@ class TestCheckpointRoundTrip:
         back, _ = load_checkpoint(path)
         assert params_blob(back) == params_blob(model)
         assert back.describe() == model.describe()
+
+    def test_nested_residual_round_trip(self, tmp_path):
+        model = toy_nested_residual_model(dtype=np.float32, seed=5)
+        # qconv 1->2 (3x3) 80 + residual[qconv 2->2 152, qbn 16,
+        # residual[qconv 152, qbn 16], qconv 1x1 24, qbn 16] + linear 8->2 18
+        assert count_params(model) == 474
+        path = tmp_path / "n.qprs"
+        save_checkpoint(model, path)
+        back, _ = load_checkpoint(path)
+        assert params_blob(back) == params_blob(model)
+        x = np.random.default_rng(6).normal(size=(4, 4, 1, 6, 6)).astype(np.float32)
+        assert inference(back, x).tobytes() == inference(model, x).tobytes()
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         model = build_model("cnn-mini", 3, (4, 32, 16), seed=5)
@@ -151,6 +172,28 @@ class TestCheckpointErrors:
         path = tmp_path / "w.qprs"
         save_checkpoint(ModelGraph(layers, input_shape, 3, quaternion), path)
         with pytest.raises(FormatError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer,field,value", [
+        ("avgpool2d", "stride", 0),
+        ("avgpool2d", "window", 0),
+        ("qconv2d", "stride", 0),
+        ("qconv2d", "kernel", [0, 3]),
+        ("qconv2d", "padding", -1),
+    ], ids=["pool_stride", "pool_window", "conv_stride", "conv_kernel", "conv_padding"])
+    def test_layer_geometry_must_be_valid(self, tmp_path, layer, field, value):
+        # edits the first layer of that type
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=12)
+        path = tmp_path / "s.qprs"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16 : 16 + hlen])
+        spec = next(s for s in header["model"]["layers"] if s["type"] == layer)
+        spec[field] = value
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        with pytest.raises(FormatError, match="at least"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,match", [

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import toy_nested_residual_model
 
-from qprune.exceptions import ConversionError, ShapeError
+from qprune.exceptions import ConfigError, ConversionError, ShapeError
 from qprune.nn import (
     AvgPool2d,
     BatchNorm2d,
@@ -397,6 +398,37 @@ def test_layer_shapes_check_every_incoming_width():
     ]:
         with pytest.raises(ShapeError):
             ModelGraph(layers, input_shape, 3, layers[0].quaternion).layer_shapes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AvgPool2d(2, 0), lambda: MaxPool2d(0), lambda: Conv2d(4, 4, (0, 3)),
+    lambda: QConv2d(1, 1, (3, 3), stride=0), lambda: Conv2d(4, 4, (3, 3), padding=-1),
+], ids=["pool_stride", "pool_window", "conv_kernel", "conv_stride", "conv_padding"])
+def test_bad_layer_geometry_rejected_at_construction(make):
+    with pytest.raises(ConfigError, match="at least"):
+        make()
+
+
+def test_walk_enters_residual_blocks_at_any_depth():
+    model = toy_nested_residual_model()
+    assert [layer.type_name for layer in model.walk()] == [
+        "qconv2d", "residual", "qconv2d", "qbatchnorm2d", "relu", "residual",
+        "qconv2d", "qbatchnorm2d", "qconv2d", "qbatchnorm2d", "globalavgpool2d",
+        "flatten", "linear"]
+    assert [layer.lid for layer in model.walk()] == list(range(13))
+
+
+def test_init_params_draws_each_layer_once():
+    from qprune.models import qresnet_mini
+
+    model = qresnet_mini(5)
+    calls = []
+    for layer in model.walk():
+        init = layer.init_params
+        layer.init_params = lambda rng, layer=layer, init=init: (
+            calls.append(layer.lid), init(rng))
+    model.init_params(np.random.default_rng(0))
+    assert calls == list(range(27))  # 17 top-level layers, 2 x 5 interior
 
 
 def test_every_layer_class_owns_forward_and_backward():
