@@ -199,7 +199,7 @@ def _check_task(ds, model):
 def _train_config(cfg, **command_fields):
     return autodiff.TrainConfig(
         lr=cfg["lr"], batch_size=cfg["batch_size"],
-        optimizer=cfg["optimizer"], seed=cfg["seed"], eval_every=50,
+        optimizer=cfg["optimizer"], seed=cfg["seed"],
         **command_fields)
 
 
@@ -296,7 +296,8 @@ def cmd_distill(cfg):
                               alpha=cfg["alpha"],
                               t2_scaling=cfg["t2_scaling"])
     kd_rows = []
-    tc = _train_config(cfg, iterations=cfg["iterations"])
+    # nothing reads its evaluations: keep="final", no target, rows discarded
+    tc = _train_config(cfg, iterations=cfg["iterations"], eval_every=0)
     distill.distill_train(teacher, student, train_ds, kd_cfg, tc,
                           val_dataset=val_ds, log_rows=kd_rows)
     nn.save_checkpoint(student, out / "student.qprs")

@@ -105,7 +105,8 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
     """Train the student against the frozen teacher with the KD loss.
 
     The teacher is frozen once per run and runs one eval-mode forward per
-    iteration; its parameters and statistics are never updated.
+    iteration, on the student's batch (mixed up when the student's is);
+    its parameters and statistics are never updated.
     ``log_rows``, when given, receives (iteration, ce_term, kl_term, total)
     tuples.  A multi-label teacher raises ConfigError: the KD loss is
     softmax-only.
@@ -124,8 +125,8 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
     frozen_teacher = freeze(teacher)
 
     def loss_fn(z, yb, tape, idx):
-        xb_teacher = model_input(teacher, feats[idx]).astype(np.float32, copy=False)
-        z_t = frozen_teacher(xb_teacher)
+        n, *_, h, w = tape.x.shape
+        z_t = frozen_teacher(model_input(teacher, tape.x.reshape(n, 4, -1, h, w)))
         loss = kd_total_loss(z, z_t, yb, cfg, tape)
         kd_rows.append((len(kd_rows) + 1, loss.ce, loss.kl, float(loss)))
         return loss

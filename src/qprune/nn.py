@@ -26,6 +26,11 @@ that follow them.  ``spec()`` and ``from_spec()`` read the two lists, and
 so do the conversion to a quaternion model (which divides each width of
 the real spec by 4), MAC counting and pruning surgery, which passes pruned
 channels through any layer without widths.
+
+Every conv runs one forward, whose GEMM layout follows the mode: a
+train-mode map views channel-major (C, N, H, W) memory, which train-mode
+batch norm reads fastest and sums most accurately, and an eval-mode map,
+layer-wise or in a ``freeze`` snapshot of ordinary layers, channels-last.
 """
 
 from __future__ import annotations
@@ -113,18 +118,33 @@ def _col2im(grad_taps, x_shape, kh, kw, stride, padding):
     return gx[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
-def _conv_forward(x, w, b, stride, padding):
+# Row block of the eval-mode conv GEMM.  One call over all N*OH*OW rows
+# (32768 for qcnn-mini's first conv at batch 64) leaves about 12 MB more of
+# OpenBLAS's pack buffers resident; blocks of 2048 rows run as fast.
+_EVAL_GEMM_ROWS = 2048
+
+
+def _conv_forward(x, w, b, stride, padding, mode):
     """Real cross-correlation of x (N, C, H, W) with w (O, C, kh, kw) plus an
     optional bias (O,); returns (y, rows), rows being the _im2col row matrix
-    that backward needs.  The GEMM multiplies w's live taps as (O, taps*C)
-    by rows.T, so y is an (N, O, OH, OW) view of an (O, N, OH, OW) array,
-    the layout in which train-mode BN reads each channel as one run."""
+    that backward needs.  y is an (N, O, OH, OW) view: in train mode of the
+    (O, N, OH, OW) product of w's live taps as (O, taps*C) with rows.T, in
+    which train-mode BN reads each channel as one run; in eval mode of the
+    channels-last product rows @ w.T, taken in row blocks."""
     o, _, kh, kw = w.shape
     rows, oh, ow, ta, tb = _im2col(x, kh, kw, stride, padding)
-    y = w[:, :, ta, tb].transpose(0, 2, 3, 1).reshape(o, -1) @ rows.T
+    wk = w[:, :, ta, tb].transpose(0, 2, 3, 1).reshape(o, -1)
+    if mode == "train":
+        y = wk @ rows.T
+        if b is not None:
+            y += b[:, None]
+        return y.reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3), rows
+    y = np.empty((rows.shape[0], o), dtype=np.result_type(rows, wk))
+    for i in range(0, rows.shape[0], _EVAL_GEMM_ROWS):
+        np.matmul(rows[i : i + _EVAL_GEMM_ROWS], wk.T, out=y[i : i + _EVAL_GEMM_ROWS])
     if b is not None:
-        y += b[:, None]
-    return y.reshape(o, x.shape[0], oh, ow).transpose(1, 0, 2, 3), rows
+        y += b
+    return y.reshape(x.shape[0], oh, ow, o).transpose(0, 3, 1, 2), rows
 
 
 def _conv_backward(grad_y, rows, w, x_shape, stride, padding, input_grad=True):
@@ -217,6 +237,12 @@ class Layer:
         """The channel axes of c real channels in this layer's maps."""
         return (4, c // 4) if self.quaternion else (c,)
 
+    def _set_widths(self, *widths):
+        for name, c in zip(self.widths, widths):
+            setattr(self, name, int(c))
+        if min(getattr(self, name) for name in self.widths) < 1:
+            raise ConfigError(f"{self.type_name}: widths {widths} must be at least 1")
+
     def spec(self):
         """The layer's type and constructor arguments, widths then fields."""
         return {"type": self.type_name,
@@ -242,7 +268,8 @@ class _Weighted(Layer):
     kernel = ()  # a Linear's; Conv2d sets its (kh, kw)
 
     def _init_weight(self, c_in, c_out, bias, dtype, kernel=()):
-        self.c_in, self.c_out, self.has_bias = int(c_in), int(c_out), bool(bias)
+        self._set_widths(c_in, c_out)
+        self.has_bias = bool(bias)
         self.w = np.zeros((self.c_out, self.c_in, *kernel), dtype=dtype)
         self.b = np.zeros(self.c_out, dtype=dtype) if bias else None
 
@@ -294,7 +321,8 @@ class _HamiltonTie:
     c_out = property(lambda self: 4 * self.q_out)
 
     def _init_weight(self, q_in, q_out, bias, dtype, kernel=()):
-        self.q_in, self.q_out, self.has_bias = int(q_in), int(q_out), bool(bias)
+        self._set_widths(q_in, q_out)
+        self.has_bias = bool(bias)
         self.weights = np.zeros((4, self.q_out, self.q_in, *kernel), dtype=dtype)
         self.bias = np.zeros((4, self.q_out), dtype=dtype) if bias else None
 
@@ -335,7 +363,7 @@ class Conv2d(_Weighted):
         n = x.shape[0]
         w = self.real_weight()
         y, rows = _conv_forward(x.reshape(n, self.c_in, *x.shape[-2:]), w,
-                                self.real_bias(), self.stride, self.padding)
+                                self.real_bias(), self.stride, self.padding, mode)
         ctx = {"rows": rows, "w": w, "x_shape": x.shape} if record else None
         return y.reshape(n, *self.axes(self.c_out), *y.shape[-2:]), ctx
 
@@ -378,8 +406,11 @@ class BatchNorm2d(Layer):
 
     def __init__(self, channels, eps=1e-5, momentum=0.9, dtype=DEFAULT_DTYPE):
         super().__init__()
-        setattr(self, self.widths[0], int(channels))  # QBatchNorm2d's is q
+        self._set_widths(channels)
         self.eps, self.momentum = float(eps), float(momentum)
+        if not (self.eps > 0 and 0 <= self.momentum <= 1):
+            raise ConfigError(f"{self.type_name}: eps {self.eps} must be positive "
+                              f"and momentum {self.momentum} in [0, 1]")
         shape = self.axes(self.channels)
         self.gamma = np.ones(shape, dtype=dtype)
         self.beta = np.zeros(shape, dtype=dtype)
@@ -856,61 +887,27 @@ def _read_only(arr):
     return arr
 
 
-# Row block of the frozen conv GEMM.  One call over all N*OH*OW rows (32768
-# for qcnn-mini's first conv at batch 64) leaves about 12 MB more of
-# OpenBLAS's pack buffers resident; blocks of 2048 rows run as fast.
-_FROZEN_GEMM_ROWS = 2048
-
-
-class _FrozenConv:
-    """A Conv2d or QConv2d on its real weight, with a directly following
-    eval-mode BN folded into the weight rows and bias (w*s, (b-mu)*s+beta,
-    s = gamma/sqrt(var+eps)) and a following ReLU applied in place.  Its
-    GEMM is the tall rows @ w.T, so each map it returns is a view of
-    channels-last memory, which pooling and the next gather read in runs."""
-
-    def __init__(self, conv, bn, relu):
-        w, bias = conv.real_weight(), conv.real_bias()
-        o, c, kh, kw = w.shape
-        self.axes_in, self.axes = conv.axes(c), conv.axes(o)
-        b = np.zeros(o, w.dtype) if bias is None else bias.copy()
-        s = np.ones(o, w.dtype)
-        if bn is not None:
-            if bn.axes(bn.channels) != self.axes:
-                raise ShapeError(f"batchnorm on channel axes {bn.axes(bn.channels)} "
-                                 f"after a conv to {self.axes}")
-            s = bn.gamma.reshape(-1) / np.sqrt(bn.running_var.reshape(-1) + bn.eps)
-            b = (b - bn.running_mean.reshape(-1)) * s + bn.beta.reshape(-1)
-        # (O, kh, kw, C), the order of an _im2col row
-        self.w = _read_only(w.transpose(0, 2, 3, 1) * s[:, None, None, None])
-        self.b = _read_only(b)
-        self.stride, self.padding, self.relu = conv.stride, conv.padding, relu
-
-    def forward(self, x, **_):
-        if x.shape[1:-2] != self.axes_in:
-            raise ShapeError(f"conv expects channel axes {self.axes_in}, got input {x.shape}")
-        n = x.shape[0]
-        o, kh, kw, c = self.w.shape
-        rows, oh, ow, ta, tb = _im2col(x.reshape(n, c, *x.shape[-2:]), kh, kw,
-                                       self.stride, self.padding)
-        w = self.w[:, ta, tb].reshape(o, -1)
-        y = np.empty((rows.shape[0], o), dtype=np.result_type(rows, w))
-        for i in range(0, rows.shape[0], _FROZEN_GEMM_ROWS):
-            np.matmul(rows[i : i + _FROZEN_GEMM_ROWS], w.T, out=y[i : i + _FROZEN_GEMM_ROWS])
-        y += self.b
-        if self.relu:
-            np.maximum(y, 0, out=y)
-        return np.moveaxis(y.reshape(n, oh, ow, *self.axes), (1, 2), (-2, -1)), None
-
-
-def _frozen_linear(layer):
-    """A Linear on read-only copies of a Linear's or QLinear's real weight
-    and bias, on the same channel axes."""
-    frozen = Linear(layer.c_in, layer.c_out, layer.has_bias)
+def _frozen(layer, bn):
+    """A real Conv2d or Linear on the channel axes of a conv or linear layer,
+    holding read-only copies of its real weight and bias, with the eval-mode
+    BN bn, if given, folded into the weight rows and bias (w*s,
+    (b-mu)*s+beta, s = gamma/sqrt(var+eps)).  The weight is stored with its
+    input channels innermost, the order of an _im2col row."""
+    w, b = layer.real_weight(), layer.real_bias()
+    s = np.ones(layer.c_out, w.dtype)
+    if bn is not None:
+        if bn.axes(bn.channels) != layer.axes(layer.c_out):
+            raise ShapeError(f"batchnorm on channel axes {bn.axes(bn.channels)} "
+                             f"after a conv to {layer.axes(layer.c_out)}")
+        s = bn.gamma.reshape(-1) / np.sqrt(bn.running_var.reshape(-1) + bn.eps)
+        b = ((0 if b is None else b) - bn.running_mean.reshape(-1)) * s + bn.beta.reshape(-1)
+    real = Conv2d if isinstance(layer, Conv2d) else Linear
+    frozen = real.from_spec({**layer.spec(), "c_in": layer.c_in, "c_out": layer.c_out,
+                             "bias": b is not None})
     frozen.quaternion = layer.quaternion
-    frozen.w = _read_only(layer.real_weight().copy())
-    if layer.has_bias:
-        frozen.b = _read_only(layer.real_bias().copy())
+    w = np.moveaxis(w, 1, -1) * s.reshape((-1,) + (1,) * (w.ndim - 1))
+    frozen.w = _read_only(np.moveaxis(w, -1, 1))
+    frozen.b = None if b is None else _read_only(b.copy())
     return frozen
 
 
@@ -918,14 +915,9 @@ def _freeze_stack(layers):
     frozen, rest = [], list(layers)
     while rest:
         layer = rest.pop(0)
-        if isinstance(layer, Conv2d):
-            bn = rest.pop(0) if rest and isinstance(rest[0], BatchNorm2d) else None
-            relu = bool(rest) and isinstance(rest[0], ReLU)
-            if relu:
-                rest.pop(0)
-            frozen.append(_FrozenConv(layer, bn, relu))
-        elif isinstance(layer, Linear):
-            frozen.append(_frozen_linear(layer))
+        if isinstance(layer, _Weighted):
+            folds = isinstance(layer, Conv2d) and rest and isinstance(rest[0], BatchNorm2d)
+            frozen.append(_frozen(layer, rest.pop(0) if folds else None))
         elif isinstance(layer, ResidualBlock):
             frozen.append(ResidualBlock(_freeze_stack(layer.layers)))
         else:  # its own eval forward, on a private copy
@@ -938,7 +930,11 @@ def _freeze_stack(layers):
 class FrozenModel:
     """Eval-mode inference on a snapshot of a model's weights and BN
     statistics, built once by ``freeze``; later changes to the model do not
-    reach it.  Each call adds 1 to the model's ``forward_count``."""
+    reach it.  Its layers are ordinary ones: each conv or linear layer a
+    real Conv2d or Linear on read-only copies of its real weight and bias,
+    with a directly following BN folded in, and every other layer (ReLU
+    included) a private read-only copy.  Each call adds 1 to the model's
+    ``forward_count``."""
 
     def __init__(self, model: ModelGraph):
         self.model = model

@@ -174,14 +174,21 @@ class TestCheckpointErrors:
         with pytest.raises(FormatError, match="malformed"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("layer,field,value", [
-        ("avgpool2d", "stride", 0),
-        ("avgpool2d", "window", 0),
-        ("qconv2d", "stride", 0),
-        ("qconv2d", "kernel", [0, 3]),
-        ("qconv2d", "padding", -1),
-    ], ids=["pool_stride", "pool_window", "conv_stride", "conv_kernel", "conv_padding"])
-    def test_layer_geometry_must_be_valid(self, tmp_path, layer, field, value):
+    @pytest.mark.parametrize("layer,field,value,match", [
+        ("avgpool2d", "stride", 0, "at least"),
+        ("avgpool2d", "window", 0, "at least"),
+        ("qconv2d", "stride", 0, "at least"),
+        ("qconv2d", "kernel", [0, 3], "at least"),
+        ("qconv2d", "padding", -1, "at least"),
+        ("qconv2d", "q_out", 0, "at least"),
+        ("qbatchnorm2d", "eps", -1, "eps"),
+        ("qbatchnorm2d", "eps", 0, "eps"),
+        ("qbatchnorm2d", "momentum", 2, "momentum"),
+        ("qbatchnorm2d", "momentum", -0.5, "momentum"),
+    ], ids=["pool_stride", "pool_window", "conv_stride", "conv_kernel", "conv_padding",
+            "conv_width", "bn_eps_negative", "bn_eps_zero", "bn_momentum_above_1",
+            "bn_momentum_negative"])
+    def test_layer_geometry_must_be_valid(self, tmp_path, layer, field, value, match):
         # edits the first layer of that type
         model = build_model("qcnn-mini", 3, (4, 16, 16), seed=12)
         path = tmp_path / "s.qprs"
@@ -193,7 +200,7 @@ class TestCheckpointErrors:
         spec[field] = value
         blob = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
-        with pytest.raises(FormatError, match="at least"):
+        with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,match", [

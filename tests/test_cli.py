@@ -215,6 +215,19 @@ class TestDistillCommand:
         ce_loss = [r.split(",")[1] for r in ce_rows]
         assert kd_total == ce_loss
 
+    def test_runs_no_evaluation(self, tmp_path, data_dir, trained, monkeypatch):
+        # keep="final", no target and discarded rows: nothing reads one
+        from qprune import autodiff
+
+        calls = []
+        real = autodiff.evaluate_metric
+        monkeypatch.setattr(autodiff, "evaluate_metric",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert main(["distill", "--teacher", str(trained / "model.qprs"),
+                     "--data", str(data_dir), "--iterations", "3",
+                     "--out", str(tmp_path / "kd")]) == 0
+        assert calls == []
+
     def test_missing_teacher_exit_2(self, tmp_path, data_dir):
         code = main(["distill", "--teacher", str(tmp_path / "missing.qprs"),
                      "--data", str(data_dir), "--out", str(tmp_path / "o")])

@@ -227,6 +227,34 @@ class TestDistillTrain:
         distill_train(teacher, student, ds, KDConfig(), cfg)
         assert list(teacher_banks.values()) == [1] * 6
 
+    def test_teacher_gets_the_students_mixed_batch(self, monkeypatch):
+        from qprune import autodiff, distill
+        from qprune.nn import freeze
+
+        teacher = tiny_teacher(seed=5)
+        student = make_student_from_plan(
+            teacher, build_prune_plan(teacher, "l1", 0.5), seed=1)
+        ds = synth_dataset(3, 12, seed=1, frames=16, bins=16)
+        student_in, teacher_in = [], []
+        real_forward = autodiff.forward
+
+        def recording_forward(model, batch, mode="train"):
+            student_in.append(batch)
+            return real_forward(model, batch, mode)
+
+        def recording_freeze(model):
+            frozen = freeze(model)
+            return lambda batch: teacher_in.append(batch) or frozen(batch)
+
+        monkeypatch.setattr(autodiff, "forward", recording_forward)
+        monkeypatch.setattr(distill, "freeze", recording_freeze)
+        cfg = TrainConfig(iterations=3, lr=1e-3, seed=2, eval_every=0,
+                          use_mixup=True)
+        distill_train(teacher, student, ds, KDConfig(), cfg)
+        assert len(teacher_in) == len(student_in) == 3
+        for xt, xs in zip(teacher_in, student_in):
+            np.testing.assert_array_equal(xt, xs)
+
     def test_multi_label_teacher_rejected(self):
         from qprune.exceptions import ConfigError
         from qprune.models import build_model

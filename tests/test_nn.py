@@ -403,10 +403,24 @@ def test_layer_shapes_check_every_incoming_width():
 @pytest.mark.parametrize("make", [
     lambda: AvgPool2d(2, 0), lambda: MaxPool2d(0), lambda: Conv2d(4, 4, (0, 3)),
     lambda: QConv2d(1, 1, (3, 3), stride=0), lambda: Conv2d(4, 4, (3, 3), padding=-1),
-], ids=["pool_stride", "pool_window", "conv_kernel", "conv_stride", "conv_padding"])
+    lambda: Conv2d(0, 4), lambda: QConv2d(2, 0), lambda: Linear(4, 0),
+    lambda: QLinear(0, 1), lambda: BatchNorm2d(0), lambda: QBatchNorm2d(0),
+], ids=["pool_stride", "pool_window", "conv_kernel", "conv_stride", "conv_padding",
+        "conv_width", "qconv_width", "linear_width", "qlinear_width", "bn_width",
+        "qbn_width"])
 def test_bad_layer_geometry_rejected_at_construction(make):
     with pytest.raises(ConfigError, match="at least"):
         make()
+
+
+@pytest.mark.parametrize("eps,momentum", [(-1, 0.9), (0, 0.9), (float("nan"), 0.9),
+                                          (1e-5, 2), (1e-5, -0.5)])
+@pytest.mark.parametrize("bn", [BatchNorm2d, QBatchNorm2d])
+def test_bad_batchnorm_fields_rejected_at_construction(bn, eps, momentum):
+    with pytest.raises(ConfigError, match="eps .* must be positive and momentum"):
+        bn(4, eps=eps, momentum=momentum)
+    for bound in (0.0, 1.0):
+        bn(4, momentum=bound)
 
 
 def test_walk_enters_residual_blocks_at_any_depth():
@@ -722,7 +736,7 @@ def _spec_model(name):
 
 def _every_layer_type_models():
     """A quaternion and a real model that together use every layer type:
-    BN folded with and without a ReLU, ReLU fused without BN, BN that
+    BN folded with and without a ReLU, ReLU after a conv without BN, BN that
     follows no conv, convs without bias, residual blocks, and Flatten of
     both pooled vectors and spatial maps."""
     quaternion = ModelGraph([
@@ -761,7 +775,7 @@ def test_frozen_maps_are_channels_last_on_maps_the_kernel_overhangs():
     # only the centre tap of each 3x3 kernel reads the map
     from qprune.autodiff import inference
     from qprune.models import build_model
-    from qprune.nn import _FrozenConv, freeze
+    from qprune.nn import freeze
 
     model = build_model("qcnn-mini", 4, (4, 16, 16), seed=1)
     x = np.random.default_rng(6).normal(size=(24, 4, 1, 16, 16)).astype(np.float32)
@@ -770,7 +784,7 @@ def test_frozen_maps_are_channels_last_on_maps_the_kernel_overhangs():
     h, sizes = x, []
     for layer in freeze(model).layers:
         h, _ = layer.forward(h)
-        if isinstance(layer, _FrozenConv):
+        if isinstance(layer, Conv2d):
             sizes.append(h.shape[-2:])
             assert np.moveaxis(h.reshape(24, -1, *h.shape[-2:]), 1, -1).flags.c_contiguous
     assert sizes[-2:] == [(1, 1), (1, 1)]
@@ -793,6 +807,58 @@ def test_frozen_covers_every_layer_type():
             x = x.reshape(12, 4, -1, *model.input_shape[1:])
         _calibrated(model, x)
         assert _rel_err(freeze(model)(x), inference(model, x, mode="eval")) <= 1e-5
+
+
+def test_frozen_steps_are_ordinary_layers():
+    # a conv or linear becomes a real Conv2d or Linear, and a ReLU stays
+    from qprune.nn import LAYER_TYPES, _walk, freeze
+
+    models = [_spec_model(name) for name in ("qcnn-mini", "qcnn-mini-p50",
+                                             "qresnet-mini", "cnn-mini")]
+    for model in models + list(_every_layer_type_models()):
+        steps = list(_walk(freeze(model).layers))
+        assert all(isinstance(step, tuple(LAYER_TYPES.values())) for step in steps)
+        assert {type(step) for step in steps if isinstance(step, (Conv2d, Linear))} \
+            <= {Conv2d, Linear}
+        assert sum(isinstance(step, ReLU) for step in steps) == \
+            sum(isinstance(layer, ReLU) for layer in model.walk())
+
+
+def _without_batchnorm(layers):
+    return [ResidualBlock(_without_batchnorm(layer.layers))
+            if isinstance(layer, ResidualBlock) else layer
+            for layer in layers if not isinstance(layer, BatchNorm2d)]
+
+
+@pytest.mark.parametrize("name", ["qcnn-mini", "qresnet-mini", "cnn-mini"])
+def test_frozen_logits_equal_layer_wise_eval_without_batchnorm(name):
+    # with nothing to fold, a frozen step runs the layer's own eval forward
+    from qprune.autodiff import inference
+    from qprune.nn import freeze, model_input
+
+    spec = _spec_model(name)
+    model = ModelGraph(_without_batchnorm(spec.layers), spec.input_shape,
+                       spec.num_classes, spec.quaternion)
+    x = model_input(model, np.random.default_rng(8).normal(
+        size=(10, 4, 1, 32, 16)).astype(np.float32))
+    np.testing.assert_array_equal(freeze(model)(x), inference(model, x, mode="eval"))
+
+
+@pytest.mark.parametrize("make", [lambda: Conv2d(8, 12, (3, 3), padding=1),
+                                  lambda: QConv2d(2, 3, (3, 3), stride=2)],
+                         ids=["conv2d", "qconv2d"])
+def test_conv_map_layout_follows_the_mode(make):
+    # channels-last in eval mode, channel-major (C, N, H, W) in train mode
+    layer = make()
+    rng = np.random.default_rng(9)
+    layer.init_params(rng)
+    x = rng.normal(size=(5, *layer.axes(layer.c_in), 6, 7)).astype(np.float32)
+    y_eval, _ = layer.forward(x, mode="eval")
+    y_train, _ = layer.forward(x, mode="train")
+    maps = [y.reshape(5, layer.c_out, *y.shape[-2:]) for y in (y_eval, y_train)]
+    assert np.moveaxis(maps[0], 1, -1).flags.c_contiguous
+    assert maps[1].transpose(1, 0, 2, 3).flags.c_contiguous
+    np.testing.assert_allclose(y_eval, y_train, rtol=1e-5, atol=1e-5)
 
 
 def test_frozen_snapshot_is_independent_of_the_model():
