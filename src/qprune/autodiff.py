@@ -207,7 +207,13 @@ class OptimState:
     def step(self, grads):
         """Apply one update in place; returns the model."""
         self.t += 1
-        for lid, layer, name, arr in self.model.all_params():
+        params = self.model.all_params()
+        # Adam's two scratch arrays for every parameter come from one buffer
+        # per step, not a temporary per operation: fewer full-size
+        # allocations, and a smaller, less fragmented heap
+        work = np.empty(2 * max((a.nbytes for *_, a in params), default=0),
+                        np.uint8)
+        for lid, layer, name, arr in params:
             g = grads[(lid, name)]
             if g.shape != arr.shape:
                 raise ShapeError(
@@ -216,17 +222,21 @@ class OptimState:
             if self.kind == "sgd":
                 arr -= (self.lr * g).astype(arr.dtype, copy=False)
             else:
-                m = self.m[(lid, name)]
-                v = self.v[(lid, name)]
+                m, v = self.m[(lid, name)], self.v[(lid, name)]
+                # arr -= lr * mhat / (sqrt(vhat) + eps), in its operation order
+                a, b = work[:2 * arr.nbytes].view(arr.dtype).reshape(
+                    (2,) + arr.shape)
                 m *= self.beta1
-                m += (1 - self.beta1) * g
+                m += np.multiply(1 - self.beta1, g, out=a)
                 v *= self.beta2
-                v += (1 - self.beta2) * (g * g)
-                mhat = m / (1 - self.beta1 ** self.t)
-                vhat = v / (1 - self.beta2 ** self.t)
-                arr -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                    arr.dtype, copy=False
-                )
+                v += np.multiply(1 - self.beta2, np.multiply(g, g, out=a), out=a)
+                np.divide(v, 1 - self.beta2 ** self.t, out=a)  # vhat
+                np.sqrt(a, out=a)
+                a += self.eps
+                np.divide(m, 1 - self.beta1 ** self.t, out=b)  # mhat
+                b *= self.lr
+                b /= a
+                arr -= b
         return self.model
 
     # checkpoint hooks -----------------------------------------------------
@@ -349,7 +359,7 @@ def train_loop(model, features, labels, config: TrainConfig,
                loss_fn=None, log_rows=None):
     """Generic minibatch training shared by train, fine-tune, and distill.
 
-    ``loss_fn(z, yb, tape, idx)`` may be supplied to override the loss (the
+    ``loss_fn(z, yb, tape)`` may be supplied to override the loss (the
     distillation path uses this); by default it is sigmoid cross-entropy
     for a multi-label model (``model.task == "multi"``) and softmax
     cross-entropy otherwise.  Each iteration appends one row (iteration,
@@ -390,7 +400,7 @@ def train_loop(model, features, labels, config: TrainConfig,
 
         z, tape = forward(model, xb, mode="train")
         if loss_fn is not None:
-            loss = loss_fn(z, yb, tape, idx)
+            loss = loss_fn(z, yb, tape)
         elif task == "multi":
             loss = binary_cross_entropy(z, yb, tape)
         else:

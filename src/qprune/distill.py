@@ -124,7 +124,7 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
     kd_rows = [] if log_rows is None else log_rows
     frozen_teacher = freeze(teacher)
 
-    def loss_fn(z, yb, tape, idx):
+    def loss_fn(z, yb, tape):
         n, *_, h, w = tape.x.shape
         z_t = frozen_teacher(model_input(teacher, tape.x.reshape(n, 4, -1, h, w)))
         loss = kd_total_loss(z, z_t, yb, cfg, tape)

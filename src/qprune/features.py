@@ -14,6 +14,7 @@ samples so a 10 s / 32 kHz clip yields exactly 1000 frames.
 
 from __future__ import annotations
 
+import os
 import struct
 import wave
 from dataclasses import dataclass, field
@@ -31,6 +32,10 @@ N_MELS = 64
 FMIN = 50.0
 FMAX = 14000.0
 LOG_FLOOR = 1e-10
+
+# float64 values per synth_dataset chunk array: 128 KB, which stays in cache
+# and off the resident-set peak
+_CHUNK_VALUES = 16384
 
 FEATURE_MAGIC = b"QFEA"
 FEATURE_VERSION = 1
@@ -165,15 +170,20 @@ def write_wav(path, samples, sample_rate=SAMPLE_RATE):
 # ---------------------------------------------------------------------------
 
 def _temporal_derivative(psi, order):
-    """Discrete d^k psi / dt^k along axis 0 (unit frame spacing).
+    """Discrete d^k psi / dt^k along axis -2 of a (..., frames, bins) array
+    (unit frame spacing).
 
     Central stencils on the interior, one-sided differences at the edges.
     All stencils are evaluated as nested first differences, so constant
     inputs annihilate exactly in floating point, and the k-th stencil kills
-    polynomials of degree k-1 on the interior.
+    polynomials of degree k-1 on the interior.  Each element sees the same
+    operations whatever the leading axes, so a batch equals its samples
+    bit for bit.
     """
+    out = np.empty_like(psi)
+    # frames first, as views: the stencils below index axis 0
+    psi, d = np.moveaxis(psi, -2, 0), np.moveaxis(out, -2, 0)
     t = psi.shape[0]
-    d = np.empty_like(psi)
     if order == 1:
         d[1:-1] = 0.5 * (psi[2:] - psi[:-2])
         d[0] = psi[1] - psi[0]
@@ -197,7 +207,15 @@ def _temporal_derivative(psi, order):
                     + (psi[i - 2] - psi[i - 3]))
     else:
         raise ValueError(f"unsupported derivative order {order}")
-    return d
+    return out
+
+
+def _encode_planes(psi, out, rows):
+    """Write psi (..., frames, bins) and its 1st/2nd/3rd temporal derivatives
+    into out[rows, k, 0] for k = 0..3, casting to out's dtype."""
+    out[rows, 0, 0] = psi
+    for k in (1, 2, 3):
+        out[rows, k, 0] = _temporal_derivative(psi, k)
 
 
 def encode_quaternion_features(mel) -> QTensor:
@@ -210,8 +228,9 @@ def encode_quaternion_features(mel) -> QTensor:
         raise ShapeError(
             f"need at least 7 frames for third differences, got {psi.shape[0]}"
         )
-    planes = [psi] + [_temporal_derivative(psi, k) for k in (1, 2, 3)]
-    return QTensor(np.stack(planes, axis=0)[:, None])
+    out = np.empty((4, 1) + psi.shape, dtype=psi.dtype)
+    _encode_planes(psi, out[None], 0)
+    return QTensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,37 +247,30 @@ def save_feature_file(path, obj):
         arr = obj.data
     else:
         arr = np.asarray(obj)
-    if arr.dtype == np.float64:
-        code = 1
-    else:
-        arr = arr.astype(np.float32)
-        code = 0
+    code = 1 if arr.dtype == np.float64 else 0
+    arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
+    header = struct.pack(f"<4sIIQ{arr.ndim}Q", FEATURE_MAGIC, FEATURE_VERSION,
+                         code, arr.ndim, *arr.shape)
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", FEATURE_VERSION))
-        fh.write(struct.pack("<I", code))
-        fh.write(struct.pack("<Q", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<Q", dim))
-        fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes())
+        fh.write(header + arr.tobytes())
 
 
-def load_feature_file(path):
-    """Load a QFEA file as MelSpectrogram (rank 2) or QTensor (rank 4)."""
+def _read_feature_array(path):
+    """Read and check a QFEA file; returns its read-only payload array,
+    (frames, bins) mel values or (4, Q, H, W) quaternion features."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 20 or raw[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: not a QFEA feature file")
-    version, code = struct.unpack("<II", raw[4:12])
+    version, code, rank = struct.unpack_from("<IIQ", raw, 4)
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if code not in _DTYPE_CODES:
         raise FormatError(f"{path}: unknown dtype code {code}")
-    rank = struct.unpack("<Q", raw[12:20])[0]
     need = 20 + 8 * rank
     if len(raw) < need:
         raise TruncationError(f"{path}: truncated dimension list")
-    dims = struct.unpack(f"<{rank}Q", raw[20:need])
+    dims = struct.unpack_from(f"<{rank}Q", raw, 20)
     dtype = _DTYPE_CODES[code]
     count = 1
     for dim in dims:
@@ -268,12 +280,18 @@ def load_feature_file(path):
             f"{path}: payload is {len(raw) - need} bytes, expected "
             f"{count * dtype.itemsize}"
         )
-    arr = np.frombuffer(raw[need:], dtype=dtype).reshape(dims).copy()
-    if rank == 2:
-        return MelSpectrogram(arr)
-    if rank == 4 and dims[0] == 4:
-        return QTensor(arr)
-    raise FormatError(f"{path}: unsupported tensor rank {rank} (dims {dims})")
+    if not (rank == 2 or rank == 4 and dims[0] == 4):
+        raise FormatError(f"{path}: unsupported tensor rank {rank} (dims {dims})")
+    arr = np.frombuffer(raw, dtype, count, need).reshape(dims)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path}: payload has non-finite values")
+    return arr
+
+
+def load_feature_file(path):
+    """Load a QFEA file as MelSpectrogram (rank 2) or QTensor (rank 4)."""
+    arr = _read_feature_array(path).copy()
+    return MelSpectrogram(arr) if arr.ndim == 2 else QTensor(arr)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +346,7 @@ def synth_dataset(num_classes, num_samples, seed=0, frames=32, bins=16,
         raise ConfigError(f"need at least one mel bin, got {bins}")
     rng = np.random.default_rng(seed)
     spectral, temporal = _class_templates(num_classes, bins, frames, rng)
+    outers = temporal[:, :, None] * spectral[:, None, :]  # np.outer per class
 
     feats = np.empty((num_samples, 4, 1, frames, bins), dtype=np.float32)
     if multilabel:
@@ -335,22 +354,27 @@ def synth_dataset(num_classes, num_samples, seed=0, frames=32, bins=16,
     else:
         labels = np.empty(num_samples, dtype=np.int64)
 
+    # samples are drawn one at a time, in the RNG's order, into a float64
+    # chunk that is encoded as a batch straight into feats
+    chunk = np.empty((max(1, _CHUNK_VALUES // (frames * bins)), frames, bins))
     order = rng.permutation(num_samples)
-    for slot, n in enumerate(order):
-        g = slot % num_classes  # balanced assignment
-        psi = np.outer(temporal[g], spectral[g])
-        if multilabel:
-            labels[n, g] = 1
-            extra = int(rng.integers(0, 2))
-            if extra:
-                g2 = int(rng.integers(num_classes))
-                psi = psi + np.outer(temporal[g2], spectral[g2])
-                labels[n, g2] = 1
-        else:
-            labels[n] = g
-        amp = rng.uniform(0.8, 1.2)
-        psi = amp * psi + noise * rng.normal(size=(frames, bins))
-        feats[n] = encode_quaternion_features(psi).data.astype(np.float32)
+    for start in range(0, num_samples, len(chunk)):
+        rows = order[start:start + len(chunk)]
+        psi = chunk[:len(rows)]
+        for i, n in enumerate(rows):
+            g = (start + i) % num_classes  # balanced assignment
+            template = outers[g]
+            if multilabel:
+                labels[n, g] = 1
+                if rng.integers(0, 2):  # an extra class
+                    g2 = int(rng.integers(num_classes))
+                    template = template + outers[g2]
+                    labels[n, g2] = 1
+            else:
+                labels[n] = g
+            amp = rng.uniform(0.8, 1.2)
+            psi[i] = amp * template + noise * rng.normal(size=(frames, bins))
+        _encode_planes(psi, feats, rows)
 
     return LabeledDataset(feats, labels, num_classes,
                           task="multi" if multilabel else "single",
@@ -453,14 +477,19 @@ def load_dataset(data_dir) -> LabeledDataset:
             raise FormatError(f"{manifest}:{lineno}: label {label!r} outside "
                               f"[0, {num_classes})")
 
-    feats = []
-    for _, fname, _ in entries:
-        obj = load_feature_file(root / fname)
-        arr = obj.data if isinstance(obj, QTensor) else obj.values
+    feats = None
+    for n, (_, fname, _) in enumerate(entries):
+        path = os.path.join(root, fname)
+        arr = _read_feature_array(path)
         if arr.ndim == 2:
             arr = encode_quaternion_features(arr).data
-        feats.append(arr.astype(np.float32))
-    feats = np.stack(feats)
+        if feats is None:
+            feats = np.empty((len(entries),) + arr.shape, dtype=np.float32)
+            first = path
+        elif arr.shape != feats.shape[1:]:
+            raise FormatError(f"{path}: features of shape {arr.shape}, but "
+                              f"{first} has {feats.shape[1:]}")
+        feats[n] = arr
 
     if task == "multi":
         labels = np.zeros((len(entries), num_classes), dtype=np.int64)

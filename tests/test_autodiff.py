@@ -412,7 +412,7 @@ class TestTrainLoop:
 
         ds = synth_dataset(4, 40, seed=2, frames=16, bins=16, multilabel=True)
         runs = []
-        for loss_fn in (None, lambda z, yb, tape, idx: binary_cross_entropy(z, yb, tape)):
+        for loss_fn in (None, lambda z, yb, tape: binary_cross_entropy(z, yb, tape)):
             model = build_model("qcnn-mini", 4, (4, 16, 16), seed=1, task="multi")
             rows = []
             result = train_loop(model, ds.features, ds.labels,

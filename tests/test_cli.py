@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qprune.cli import main
-from qprune.features import save_dataset, synth_dataset, write_wav
+from qprune.features import (save_dataset, save_feature_file, synth_dataset,
+                              write_wav)
 
 
 @pytest.fixture(scope="module")
@@ -433,6 +434,13 @@ def _edit(name, old, new):
     return edit
 
 
+def _sample(n, values):
+    def edit(dataset_dir):
+        save_feature_file(dataset_dir / f"sample_{n:05d}.qfea",
+                          np.asarray(values, dtype=np.float32))
+    return edit
+
+
 def _config(text):
     def write(tmp_path):
         path = tmp_path / "run.cfg"
@@ -484,6 +492,9 @@ MALFORMED = [
     ("label_out_of_range", ["eval"],
      _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,7"), 1),
     ("task_unknown", ["train"], _edit("dataset.txt", "task=single", "task=foo"), 1),
+    ("sample_shape_differs", ["train"], _sample(3, np.zeros((4, 1, 8, 16))), 1),
+    ("sample_not_finite", ["train"], _sample(3, np.full((4, 1, 16, 16), np.nan)),
+     1),
     # the single-label checkpoint against multi-label data
     ("distill_multi_label", ["distill"],
      _edit("dataset.txt", "task=single", "task=multi"), 2),

@@ -4,6 +4,7 @@ feature file format, and synthetic datasets."""
 import numpy as np
 import pytest
 
+from qprune import features
 from qprune.exceptions import FormatError, ShapeError, TruncationError
 from qprune.features import (
     LOG_FLOOR,
@@ -15,6 +16,7 @@ from qprune.features import (
     mel_filterbank,
     save_dataset,
     save_feature_file,
+    save_manifest,
     synth_dataset,
     wav_to_mel,
 )
@@ -139,6 +141,16 @@ class TestQuaternionEncoding:
         with pytest.raises(ShapeError):
             encode_quaternion_features(np.zeros((6, 4)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batched_derivative_equals_per_sample_bitwise(self, dtype):
+        psi = np.random.default_rng(14).normal(size=(3, 5, 7, 3)).astype(dtype)
+        for k in (1, 2, 3):
+            batched = features._temporal_derivative(psi, k)
+            assert batched.shape == psi.shape and batched.dtype == dtype
+            for idx in np.ndindex(psi.shape[:2]):
+                single = features._temporal_derivative(psi[idx], k)
+                assert batched[idx].tobytes() == single.tobytes(), (k, idx)
+
 
 class TestFeatureFiles:
     def test_round_trip_qtensor_bitwise(self, tmp_path):
@@ -172,6 +184,15 @@ class TestFeatureFiles:
         path.write_bytes(raw[:-8])
         with pytest.raises(TruncationError):
             load_feature_file(path)
+
+    def test_non_finite_payload_names_the_file(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            values = np.ones((4, 1, 8, 4), dtype=np.float32)
+            values[2, 0, 3, 1] = bad
+            path = tmp_path / "nan.qfea"
+            save_feature_file(path, values)
+            with pytest.raises(FormatError, match="nan.qfea: .*non-finite"):
+                load_feature_file(path)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
         t = QTensor(np.random.default_rng(6).normal(size=(4, 2, 6, 6)).astype(np.float32))
@@ -225,6 +246,54 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(4, 3)
 
+    @staticmethod
+    def _per_sample_reference(num_classes, num_samples, seed, frames, bins,
+                              noise, multilabel):
+        # one sample at a time through the public encoder, drawing from the
+        # RNG in the documented order: templates, permutation, then per
+        # sample the extra multi-label class, the amplitude and the noise
+        rng = np.random.default_rng(seed)
+        spectral, temporal = features._class_templates(num_classes, bins,
+                                                       frames, rng)
+        feats = np.empty((num_samples, 4, 1, frames, bins), dtype=np.float32)
+        labels = np.zeros((num_samples, num_classes) if multilabel
+                          else num_samples, dtype=np.int64)
+        for slot, n in enumerate(rng.permutation(num_samples)):
+            g = slot % num_classes
+            psi = np.outer(temporal[g], spectral[g])
+            if multilabel:
+                labels[n, g] = 1
+                if rng.integers(0, 2):
+                    g2 = int(rng.integers(num_classes))
+                    psi = psi + np.outer(temporal[g2], spectral[g2])
+                    labels[n, g2] = 1
+            else:
+                labels[n] = g
+            amp = rng.uniform(0.8, 1.2)
+            psi = amp * psi + noise * rng.normal(size=(frames, bins))
+            feats[n] = encode_quaternion_features(psi).data
+        return feats, labels
+
+    @pytest.mark.parametrize("chunk", [1, 3, None])  # samples per chunk
+    @pytest.mark.parametrize("kw", [
+        dict(num_samples=33),
+        dict(num_samples=10, multilabel=True),
+        dict(num_samples=17, frames=7, bins=3),
+        dict(num_samples=12, frames=40, bins=5, noise=0.3, multilabel=True),
+    ])
+    def test_bytes_equal_per_sample_encoding(self, monkeypatch, kw, chunk):
+        args = dict(num_classes=4, seed=7, frames=32, bins=16, noise=0.05,
+                    multilabel=False)
+        args.update(kw)
+        if chunk is not None:  # None keeps the library's own chunk size
+            monkeypatch.setattr(features, "_CHUNK_VALUES",
+                                chunk * args["frames"] * args["bins"])
+        ds = synth_dataset(**args)
+        feats, labels = self._per_sample_reference(**args)
+        assert ds.features.dtype == np.float32
+        assert ds.features.tobytes() == feats.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
 
 class TestManifestLoader:
     def test_round_trip(self, tmp_path):
@@ -241,6 +310,55 @@ class TestManifestLoader:
         back = load_dataset(tmp_path / "m")
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.task == "multi"
+
+    def test_equals_stacked_file_loads_with_mel_files(self, tmp_path):
+        rng = np.random.default_rng(15)
+        objs = [QTensor(rng.normal(size=(4, 1, 9, 5)).astype(np.float32)),
+                MelSpectrogram(rng.normal(size=(9, 5))),
+                QTensor(rng.normal(size=(4, 1, 9, 5))),  # a float64 payload
+                MelSpectrogram(rng.normal(size=(9, 5)).astype(np.float32))]
+        for n, obj in enumerate(objs):
+            save_feature_file(tmp_path / features.SAMPLE_FILE.format(n), obj)
+        save_manifest(tmp_path, [0, 1, 0, 1], 2, "single")
+        want = []
+        for n in range(len(objs)):
+            obj = load_feature_file(tmp_path / features.SAMPLE_FILE.format(n))
+            if isinstance(obj, MelSpectrogram):
+                obj = encode_quaternion_features(obj)
+            want.append(obj.data.astype(np.float32))
+        got = load_dataset(tmp_path).features
+        assert got.dtype == np.float32 and got.shape == (4, 4, 1, 9, 5)
+        assert got.tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("corrupt,error", [
+        (lambda raw: b"NOPE" + raw[4:], FormatError),
+        (lambda raw: raw[:28], TruncationError),  # rank 4 needs 52 header bytes
+        (lambda raw: raw[:-4], TruncationError),
+    ], ids=["wrong_magic", "truncated_dims", "short_payload"])
+    def test_bad_sample_file_raises_typed_error(self, tmp_path, corrupt, error):
+        save_dataset(synth_dataset(3, 6, seed=5, frames=10, bins=6), tmp_path)
+        path = tmp_path / features.SAMPLE_FILE.format(4)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(error, match=path.name):
+            load_dataset(tmp_path)
+
+    def test_shape_mismatch_names_file_and_shapes(self, tmp_path):
+        save_dataset(synth_dataset(3, 6, seed=5, frames=10, bins=6), tmp_path)
+        save_feature_file(tmp_path / features.SAMPLE_FILE.format(2),
+                          np.zeros((4, 1, 8, 6), dtype=np.float32))
+        with pytest.raises(FormatError) as info:
+            load_dataset(tmp_path)
+        msg = str(info.value)
+        assert "sample_00002.qfea" in msg and "sample_00000.qfea" in msg
+        assert "(4, 1, 8, 6)" in msg and "(4, 1, 10, 6)" in msg
+
+    def test_non_finite_sample_names_the_file(self, tmp_path):
+        save_dataset(synth_dataset(3, 6, seed=5, frames=10, bins=6), tmp_path)
+        values = np.zeros((4, 1, 10, 6), dtype=np.float32)
+        values[0, 0, 0, 0] = np.nan
+        save_feature_file(tmp_path / features.SAMPLE_FILE.format(5), values)
+        with pytest.raises(FormatError, match="sample_00005.qfea"):
+            load_dataset(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
