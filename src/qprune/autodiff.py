@@ -188,6 +188,8 @@ def backward(tape: Tape, loss: Loss):
 class OptimState:
     """SGD or Adam state over a model's parameters."""
 
+    chunk = 1 << 16  # Adam's elements per chunk, whose arrays stay in cache
+
     def __init__(self, model: ModelGraph, kind="sgd", lr=0.01,
                  beta1=0.9, beta2=0.999, eps=1e-8):
         if kind not in ("sgd", "adam"):
@@ -207,13 +209,8 @@ class OptimState:
     def step(self, grads):
         """Apply one update in place; returns the model."""
         self.t += 1
-        params = self.model.all_params()
-        # Adam's two scratch arrays for every parameter come from one buffer
-        # per step, not a temporary per operation: fewer full-size
-        # allocations, and a smaller, less fragmented heap
-        work = np.empty(2 * max((a.nbytes for *_, a in params), default=0),
-                        np.uint8)
-        for lid, layer, name, arr in params:
+        work = np.empty(0, np.uint8)
+        for lid, _, name, arr in self.model.all_params():
             g = grads[(lid, name)]
             if g.shape != arr.shape:
                 raise ShapeError(
@@ -221,11 +218,18 @@ class OptimState:
                 )
             if self.kind == "sgd":
                 arr -= (self.lr * g).astype(arr.dtype, copy=False)
-            else:
-                m, v = self.m[(lid, name)], self.v[(lid, name)]
-                # arr -= lr * mhat / (sqrt(vhat) + eps), in its operation order
-                a, b = work[:2 * arr.nbytes].view(arr.dtype).reshape(
-                    (2,) + arr.shape)
+                continue
+            # flat chunks, their two scratch arrays carved from one buffer;
+            # an array whose flat view would be a copy is one chunk
+            views = (arr, g, self.m[(lid, name)], self.v[(lid, name)])
+            chunks = ([[a.reshape(-1)[i : i + self.chunk] for a in views]
+                       for i in range(0, arr.size, self.chunk)]
+                      if all(a.flags.c_contiguous for a in views) else [views])
+            for p, g, m, v in chunks:
+                if work.nbytes < 2 * p.nbytes:
+                    work = np.empty(2 * p.nbytes, np.uint8)
+                # p -= lr * mhat / (sqrt(vhat) + eps), in its operation order
+                a, b = work[:2 * p.nbytes].view(p.dtype).reshape((2,) + p.shape)
                 m *= self.beta1
                 m += np.multiply(1 - self.beta1, g, out=a)
                 v *= self.beta2
@@ -236,7 +240,7 @@ class OptimState:
                 np.divide(m, 1 - self.beta1 ** self.t, out=b)  # mhat
                 b *= self.lr
                 b /= a
-                arr -= b
+                p -= b
         return self.model
 
     # checkpoint hooks -----------------------------------------------------

@@ -482,7 +482,10 @@ def load_dataset(data_dir) -> LabeledDataset:
         path = os.path.join(root, fname)
         arr = _read_feature_array(path)
         if arr.ndim == 2:
-            arr = encode_quaternion_features(arr).data
+            try:
+                arr = encode_quaternion_features(arr).data
+            except ShapeError as exc:
+                raise FormatError(f"{path}: {exc}") from None
         if feats is None:
             feats = np.empty((len(entries),) + arr.shape, dtype=np.float32)
             first = path

@@ -27,6 +27,10 @@ so do the conversion to a quaternion model (which divides each width of
 the real spec by 4), MAC counting and pruning surgery, which passes pruned
 channels through any layer without widths.
 
+A conv skips the kernel taps that only read padding (``_live_taps``), so
+expansion, weight gradient and fold cover the live taps alone; a dead
+tap's gradient stays 0.0.  ``freeze`` expands each weight whole, once.
+
 Every conv runs one forward, whose GEMM layout follows the mode: a
 train-mode map views channel-major (C, N, H, W) memory, which train-mode
 batch norm reads fastest and sums most accurately, and an eval-mode map,
@@ -36,6 +40,7 @@ layer-wise or in a ``freeze`` snapshot of ordinary layers, channels-last.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import struct
@@ -72,6 +77,7 @@ def conv_output_hw(h, w, kh, kw, stride, padding):
     return oh, ow
 
 
+@functools.lru_cache(maxsize=None)
 def _live_taps(h, w, kh, kw, stride, padding):
     """(oh, ow, ta, tb): per axis, the slice spanning the kernel taps a
     whose input index o*stride + a - padding lands in the map for some
@@ -87,7 +93,7 @@ def _live_taps(h, w, kh, kw, stride, padding):
 
 
 def _im2col(x, kh, kw, stride, padding):
-    """(rows, oh, ow, ta, tb): the patches of x (N, C, H, W) over the live
+    """(rows, oh, ow): the patches of x (N, C, H, W) over the live
     taps as the (N*OH*OW, taps*C) row matrix of a GEMM.  x is copied once
     into a zero-padded channels-last buffer, so rows gather C-long runs."""
     n, c, h, w = x.shape
@@ -100,7 +106,7 @@ def _im2col(x, kh, kw, stride, padding):
         shape=(n, oh, ow, ta.stop - ta.start, tb.stop - tb.start, c),
         strides=(s0, s1 * stride, s2 * stride, s1, s2, s3), writeable=False,
     )
-    return windows.reshape(n * oh * ow, -1), oh, ow, ta, tb
+    return windows.reshape(n * oh * ow, -1), oh, ow
 
 
 def _col2im(grad_taps, x_shape, kh, kw, stride, padding):
@@ -124,16 +130,17 @@ def _col2im(grad_taps, x_shape, kh, kw, stride, padding):
 _EVAL_GEMM_ROWS = 2048
 
 
-def _conv_forward(x, w, b, stride, padding, mode):
-    """Real cross-correlation of x (N, C, H, W) with w (O, C, kh, kw) plus an
-    optional bias (O,); returns (y, rows), rows being the _im2col row matrix
-    that backward needs.  y is an (N, O, OH, OW) view: in train mode of the
-    (O, N, OH, OW) product of w's live taps as (O, taps*C) with rows.T, in
-    which train-mode BN reads each channel as one run; in eval mode of the
+def _conv_forward(x, w, b, kernel, stride, padding, mode):
+    """Real cross-correlation of x (N, C, H, W) with an (O, C, *kernel)
+    weight, of which w holds the live taps (O, C, ta, tb), plus an optional
+    bias (O,); returns (y, rows), rows being the _im2col row matrix that
+    backward needs.  y is an (N, O, OH, OW) view: in train mode of the
+    (O, N, OH, OW) product of w as (O, taps*C) with rows.T, in which
+    train-mode BN reads each channel as one run; in eval mode of the
     channels-last product rows @ w.T, taken in row blocks."""
-    o, _, kh, kw = w.shape
-    rows, oh, ow, ta, tb = _im2col(x, kh, kw, stride, padding)
-    wk = w[:, :, ta, tb].transpose(0, 2, 3, 1).reshape(o, -1)
+    o = w.shape[0]
+    rows, oh, ow = _im2col(x, *kernel, stride, padding)
+    wk = w.transpose(0, 2, 3, 1).reshape(o, -1)
     if mode == "train":
         y = wk @ rows.T
         if b is not None:
@@ -147,20 +154,17 @@ def _conv_forward(x, w, b, stride, padding, mode):
     return y.reshape(x.shape[0], oh, ow, o).transpose(0, 3, 1, 2), rows
 
 
-def _conv_backward(grad_y, rows, w, x_shape, stride, padding, input_grad=True):
-    """Gradients of _conv_forward; returns (gw, gb, gx), gx None when
-    input_grad is false.  The weight gradient of a dead tap is 0.0."""
-    o, c, kh, kw = w.shape
-    *_, ta, tb = _live_taps(*x_shape[2:], kh, kw, stride, padding)
+def _conv_backward(grad_y, rows, w, kernel, x_shape, stride, padding, input_grad=True):
+    """Gradients of _conv_forward; returns (gw, gb, gx), gw over the live
+    taps of w only and gx None when input_grad is false."""
+    o, c, kh, kw = w.shape  # kh, kw: the live taps
     gm = grad_y.transpose(1, 0, 2, 3).reshape(o, -1)
-    gw = np.zeros((o, kh, kw, c), dtype=np.result_type(gm, rows))
-    gw[:, ta, tb] = (gm @ rows).reshape(gw[:, ta, tb].shape)
-    gw = gw.transpose(0, 3, 1, 2)
+    gw = (gm @ rows).reshape(o, kh, kw, c).transpose(0, 3, 1, 2)
     if not input_grad:
         return gw, gm.sum(axis=1), None
     # one (N*OH*OW, C) product per live tap keeps each col2im run C*OW long
-    w_taps = w[:, :, ta, tb].transpose(2, 3, 0, 1).reshape(-1, o, c)
-    gx = _col2im(gm.T @ w_taps, x_shape, kh, kw, stride, padding)
+    w_taps = w.transpose(2, 3, 0, 1).reshape(-1, o, c)
+    gx = _col2im(gm.T @ w_taps, x_shape, *kernel, stride, padding)
     return gw, gm.sum(axis=1), gx
 
 
@@ -174,7 +178,8 @@ def hamilton_expand(banks):
     w = np.empty((4, q_out, *rest, 4, q_in), dtype=banks.dtype)
     for o, row in enumerate(HAMILTON_ROWS):
         for o_in, (comp, sign) in enumerate(row):
-            w[o, ..., o_in, :] = sign * banks[comp]
+            put = np.positive if sign > 0 else np.negative
+            put(banks[comp], out=w[o, ..., o_in, :])
     return np.moveaxis(w.reshape(4 * q_out, *rest, 4 * q_in), -1, 1)
 
 
@@ -187,7 +192,8 @@ def hamilton_fold(grad):
     banks = np.zeros((4, q_out, *rest, q_in), dtype=grad.dtype)
     for o, row in enumerate(HAMILTON_ROWS):
         for o_in, (comp, sign) in enumerate(row):
-            banks[comp] += sign * g[o, ..., o_in, :]
+            add = np.add if sign > 0 else np.subtract
+            add(banks[comp], g[o, ..., o_in, :], out=banks[comp])
     return np.moveaxis(banks, -1, 2)
 
 
@@ -261,7 +267,8 @@ class _Weighted(Layer):
     """The weight (c_out, c_in, *kernel) and optional bias (c_out,) of
     Conv2d and Linear.  Their bodies read the weight through real_weight()
     and real_bias() and route its gradients through fold(), so that
-    _HamiltonTie can swap in quaternion banks."""
+    _HamiltonTie can swap in quaternion banks.  A conv passes real_weight()
+    and _add_grads() its live kernel taps, a pair of slices."""
 
     widths = ("c_in", "c_out")
     fields = ("bias",)
@@ -276,8 +283,8 @@ class _Weighted(Layer):
     def params(self):
         return [("w", self.w)] + ([("b", self.b)] if self.has_bias else [])
 
-    def real_weight(self):
-        return self.w
+    def real_weight(self, taps=()):
+        return self.w[(..., *taps)]
 
     def real_bias(self):
         return self.b
@@ -293,10 +300,11 @@ class _Weighted(Layer):
         for name, b in bias:
             self.set_array(name, np.zeros_like(b))
 
-    def _add_grads(self, grads, gw, gb):
+    def _add_grads(self, grads, gw, gb, taps=()):
         # zip stops at the weight when there is no bias
-        for (name, _), g in zip(self.params(), self.fold(gw, gb)):
-            grads[(self.lid, name)] += g
+        for (name, _), g, at in zip(self.params(), self.fold(gw, gb),
+                                    ((..., *taps), ...)):
+            grads[(self.lid, name)][at] += g
 
     def spec(self):
         # the key bias is the has_bias flag (on QConv2d, .bias is the
@@ -329,8 +337,8 @@ class _HamiltonTie:
     def params(self):
         return [("weights", self.weights)] + ([("bias", self.bias)] if self.has_bias else [])
 
-    def real_weight(self):
-        return hamilton_expand(self.weights)
+    def real_weight(self, taps=()):
+        return hamilton_expand(self.weights[(..., *taps)] if taps else self.weights)
 
     def real_bias(self):
         return self.bias.reshape(-1) if self.has_bias else None
@@ -361,19 +369,22 @@ class Conv2d(_Weighted):
             raise ShapeError(f"{self.type_name} expects channel axes "
                              f"{self.axes(self.c_in)}, got input {x.shape}")
         n = x.shape[0]
-        w = self.real_weight()
+        *_, ta, tb = _live_taps(*x.shape[-2:], *self.kernel, self.stride, self.padding)
+        w = self.real_weight((ta, tb))
         y, rows = _conv_forward(x.reshape(n, self.c_in, *x.shape[-2:]), w,
-                                self.real_bias(), self.stride, self.padding, mode)
-        ctx = {"rows": rows, "w": w, "x_shape": x.shape} if record else None
+                                self.real_bias(), self.kernel, self.stride,
+                                self.padding, mode)
+        ctx = ({"rows": rows, "w": w, "taps": (ta, tb), "x_shape": x.shape}
+               if record else None)
         return y.reshape(n, *self.axes(self.c_out), *y.shape[-2:]), ctx
 
     def backward(self, grad_y, ctx, grads):
         n, x_shape = grad_y.shape[0], ctx["x_shape"]
         gw, gb, gx = _conv_backward(
             grad_y.reshape(n, self.c_out, *grad_y.shape[-2:]), ctx["rows"],
-            ctx["w"], (n, self.c_in, *x_shape[-2:]), self.stride, self.padding,
-            ctx.get("input_grad", True))
-        self._add_grads(grads, gw, gb)
+            ctx["w"], self.kernel, (n, self.c_in, *x_shape[-2:]), self.stride,
+            self.padding, ctx.get("input_grad", True))
+        self._add_grads(grads, gw, gb, ctx["taps"])
         return None if gx is None else gx.reshape(x_shape)
 
     def out_shape(self, shape):
@@ -437,7 +448,11 @@ class BatchNorm2d(Layer):
         rmean, rvar = self.running_mean.reshape(-1), self.running_var.reshape(-1)
         if mode == "train":
             mu = x2.mean(axis=(0, 2, 3))
-            var = x2.var(axis=(0, 2, 3))
+            d = x2 - mu[None, :, None, None]
+            # numpy's var (in its arithmetic) of the map centred once
+            var = np.square(d).sum(axis=(0, 2, 3))
+            np.true_divide(var, np.intp(d.size // self.channels), out=var,
+                           casting="unsafe")
             if update_stats:
                 rmean *= self.momentum
                 rmean += (1.0 - self.momentum) * mu
@@ -447,11 +462,12 @@ class BatchNorm2d(Layer):
             mu, var = rmean, rvar
         inv = 1.0 / np.sqrt(var + self.eps)
         gamma, beta = self.gamma.reshape(-1), self.beta.reshape(-1)
-        if mode == "train" or record:
-            xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
         if mode == "train":
+            xhat = np.multiply(d, inv[None, :, None, None], out=d)
             y = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
         else:
+            if record:
+                xhat = (x2 - mu[None, :, None, None]) * inv[None, :, None, None]
             # fixed statistics fold into one scale and shift per channel
             scale = gamma * inv
             y = x2 * scale[None, :, None, None] + (beta - mu * scale)[None, :, None, None]
@@ -461,13 +477,17 @@ class BatchNorm2d(Layer):
     def backward(self, grad_y, ctx, grads):
         g = grad_y.reshape(grad_y.shape[0], self.channels, *grad_y.shape[-2:])
         xhat, inv = ctx["xhat"], ctx["inv"]
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        t = g * xhat
+        dgamma = t.sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
         scale = (self.gamma.reshape(-1) * inv)[None, :, None, None]
         if ctx["mode"] == "train":
+            # scale / m * (m * g - dbeta - xhat * dgamma), in place
             m = g.shape[0] * g.shape[2] * g.shape[3]
-            gx = scale / m * (m * g - dbeta[None, :, None, None]
-                              - xhat * dgamma[None, :, None, None])
+            gx = m * g
+            gx -= dbeta[None, :, None, None]
+            gx -= np.multiply(xhat, dgamma[None, :, None, None], out=t)
+            gx *= scale / m
         else:
             gx = g * scale
         grads[(self.lid, "gamma")] += dgamma.reshape(self.gamma.shape)
@@ -1135,14 +1155,33 @@ def load_checkpoint(path):
         return _read_checkpoint(raw, 16 + hlen, path)
     except FormatError:
         raise
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError,
+            OverflowError) as exc:
         raise FormatError(
             f"{path}: malformed checkpoint header ({type(exc).__name__}: {exc})"
         ) from None
 
 
+def _min_payload_bytes(specs):
+    """A lower bound of the payload bytes of the layers specs describe:
+    4 * prod(widths) * prod(kernel) per layer with widths, negatives as 0."""
+    total = 0
+    for spec in specs:
+        cls = LAYER_TYPES.get(spec["type"])
+        if cls is ResidualBlock:
+            total += _min_payload_bytes(spec["layers"])
+        elif cls is not None and cls.widths:
+            dims = [spec[k] for k in cls.widths] + list(spec.get("kernel", ()))
+            total += 4 * math.prod(max(0, int(d)) for d in dims)
+    return total
+
+
 def _read_checkpoint(raw, offset, path):
     header = json.loads(raw[16:offset].decode("utf-8"))
+    # before any layer allocates what the header's widths ask for
+    if _min_payload_bytes(header["model"]["layers"]) > len(raw) - offset:
+        raise TruncationError(f"{path}: the described layers need more bytes "
+                              f"than the {len(raw) - offset} the payload has")
     model = ModelGraph.from_description(header["model"])
     if model.task not in ("single", "multi"):
         raise FormatError(f"{path}: unknown task {model.task!r}")

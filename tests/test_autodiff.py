@@ -334,6 +334,60 @@ class TestOptimizers:
             after = float(mse_loss(z2, target))
             assert after < float(before)
 
+    @staticmethod
+    def textbook_adam(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        mhat, vhat = m / (1 - b1 ** t), v / (1 - b2 ** t)
+        return p - lr * mhat / (np.sqrt(vhat) + eps), m, v
+
+    def test_chunked_adam_equals_the_textbook_expression(self):
+        # float32 and float64 weights of more than one chunk, and a weight
+        # whose memory is not C-contiguous, whose flat view would be a copy
+        layers = [Linear(300, 300), Linear(256, 300, dtype=np.float64), Linear(7, 5)]
+        assert min(l.w.size for l in layers[:2]) > OptimState.chunk
+        model = ModelGraph(layers, (300,), 5, quaternion=False)
+        model.init_params(np.random.default_rng(0))
+        layers[2].w = np.asfortranarray(layers[2].w)
+        assert not layers[2].w.flags.c_contiguous
+        ref = {(lid, n): (a.copy(), np.zeros_like(a), np.zeros_like(a))
+               for lid, _, n, a in model.all_params()}
+        opt = OptimState(model, "adam", lr=1e-2)
+        rng = np.random.default_rng(1)
+        for t in (1, 2, 3):
+            grads = {(lid, n): np.asarray(rng.normal(size=a.shape), a.dtype)
+                     for lid, _, n, a in model.all_params()}
+            step(opt, grads)
+            for lid, _, n, a in model.all_params():
+                p, m, v = ref[(lid, n)]
+                ref[(lid, n)] = p, m, v = self.textbook_adam(p, grads[(lid, n)], m, v,
+                                                             t, 1e-2)
+                np.testing.assert_array_equal(a, p)
+                np.testing.assert_array_equal(opt.m[(lid, n)], m)
+                np.testing.assert_array_equal(opt.v[(lid, n)], v)
+
+    def test_dead_kernel_taps_stay_put(self):
+        # on a 2x1 map a padded 3x3 kernel reads the map with its middle
+        # column only: the others get a gradient of exactly 0.0 and Adam
+        # leaves them where they are
+        from qprune.nn import GlobalAvgPool2d, QConv2d
+
+        model = ModelGraph([QConv2d(1, 2, (3, 3), padding=1), GlobalAvgPool2d(),
+                            Flatten(), Linear(8, 3)], (4, 2, 1), 3, quaternion=True)
+        model.init_params(np.random.default_rng(2))
+        banks = model.layers[0].weights
+        before = banks.copy()
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(12, 4, 1, 2, 1)).astype(np.float32)
+        train_loop(model, x, rng.integers(0, 3, 12),
+                   TrainConfig(iterations=4, lr=1e-2, batch_size=6, seed=4, eval_every=0))
+        np.testing.assert_array_equal(banks[..., [0, 2]], before[..., [0, 2]])
+        assert not np.any(banks[..., 1] == before[..., 1])
+        z, tape = forward(model, x)
+        g = backward(tape, cross_entropy(z, one_hot(rng.integers(0, 3, 12), 3), tape))
+        assert np.all(g[(0, "weights")][..., [0, 2]] == 0.0)
+        assert not np.signbit(g[(0, "weights")][..., [0, 2]]).any()
+
 
 class TestMixup:
     def test_lambda_one(self, rng):

@@ -185,9 +185,10 @@ class TestCheckpointErrors:
         ("qbatchnorm2d", "eps", 0, "eps"),
         ("qbatchnorm2d", "momentum", 2, "momentum"),
         ("qbatchnorm2d", "momentum", -0.5, "momentum"),
+        ("qconv2d", "q_out", float("inf"), "OverflowError"),
     ], ids=["pool_stride", "pool_window", "conv_stride", "conv_kernel", "conv_padding",
             "conv_width", "bn_eps_negative", "bn_eps_zero", "bn_momentum_above_1",
-            "bn_momentum_negative"])
+            "bn_momentum_negative", "conv_width_infinite"])
     def test_layer_geometry_must_be_valid(self, tmp_path, layer, field, value, match):
         # edits the first layer of that type
         model = build_model("qcnn-mini", 3, (4, 16, 16), seed=12)
@@ -202,6 +203,41 @@ class TestCheckpointErrors:
         path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,residual", [("qcnn-mini", False), ("cnn-mini", False),
+                                               ("qresnet-mini", True)])
+    def test_widths_beyond_the_payload_build_no_layer(self, tmp_path, monkeypatch,
+                                                      name, residual):
+        # a header whose widths need more bytes than the file holds is
+        # refused before any layer allocates its arrays
+        from qprune import nn
+
+        model = build_model(name, 3, (4, 16, 16), seed=12)
+        path = tmp_path / "wide.qprs"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16 : 16 + hlen])
+        layers = header["model"]["layers"]
+        if residual:
+            layers = next(s for s in layers if s["type"] == "residual")["layers"]
+        spec = next(s for s in layers if s["type"] in ("conv2d", "qconv2d"))
+        # a lower bound of twice the payload: at most a few MB of arrays
+        c_in, c_out = ("q_in", "q_out") if spec["type"] == "qconv2d" else ("c_in", "c_out")
+        spec[c_out] = 2 * (len(raw) - 16 - hlen) // (4 * 9 * spec[c_in]) + 1
+        blob = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+        built = []
+        real_build = nn.build_layer
+        monkeypatch.setattr(nn, "build_layer",
+                            lambda spec: built.append(spec["type"]) or real_build(spec))
+        with pytest.raises(TruncationError, match="need more bytes"):
+            load_checkpoint(path)
+        assert built == []
+        # the spy sees the layers of a file that is not refused
+        save_checkpoint(model, path)
+        load_checkpoint(path)
+        assert built
 
     @pytest.mark.parametrize("edit,match", [
         ({"task": "foo"}, "unknown task"),

@@ -495,6 +495,7 @@ MALFORMED = [
     ("sample_shape_differs", ["train"], _sample(3, np.zeros((4, 1, 8, 16))), 1),
     ("sample_not_finite", ["train"], _sample(3, np.full((4, 1, 16, 16), np.nan)),
      1),
+    ("sample_mel_too_short", ["train"], _sample(3, np.ones((5, 4))), 1),
     # the single-label checkpoint against multi-label data
     ("distill_multi_label", ["distill"],
      _edit("dataset.txt", "task=single", "task=multi"), 2),
@@ -526,3 +527,14 @@ def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.rglob("*.qprs"))
+
+
+def test_short_mel_sample_error_names_the_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    save_dataset(synth_dataset(3, 6, seed=0, frames=16, bins=16), data)
+    _sample(3, np.ones((5, 4)))(data)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "sample_00003.qfea: need at least 7 frames" in err

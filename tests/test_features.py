@@ -360,6 +360,14 @@ class TestManifestLoader:
         with pytest.raises(FormatError, match="sample_00005.qfea"):
             load_dataset(tmp_path)
 
+    def test_short_mel_sample_names_the_file(self, tmp_path):
+        # a rank-2 mel file is encoded on load, which needs 7 frames
+        save_dataset(synth_dataset(3, 6, seed=5, frames=10, bins=6), tmp_path)
+        save_feature_file(tmp_path / features.SAMPLE_FILE.format(3),
+                          MelSpectrogram(np.ones((5, 6))))
+        with pytest.raises(FormatError, match="sample_00003.qfea: need at least 7 frames"):
+            load_dataset(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
             load_dataset(tmp_path)

@@ -298,6 +298,23 @@ class TestSplitOps:
         np.testing.assert_allclose(mean, 0.0, atol=1e-4)
         np.testing.assert_allclose(var, 1.0, atol=1e-4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bn_train_statistics_are_numpys_on_channel_major_input(self, dtype):
+        # train-mode conv outputs are (N, C, H, W) views of (C, N, H, W)
+        # memory; mean, var and xhat are those of numpy, bit for bit
+        rng = np.random.default_rng(8)
+        x = rng.normal(loc=3.0, scale=2.0, size=(8, 6, 5, 3)).astype(dtype)
+        x = x.transpose(1, 0, 2, 3)
+        bn = BatchNorm2d(8, momentum=0.0, dtype=dtype)  # running stats = batch's
+        _, ctx = bn.forward(x, mode="train", record=True)
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        np.testing.assert_array_equal(bn.running_mean, mean)
+        np.testing.assert_array_equal(bn.running_var, var)
+        np.testing.assert_array_equal(ctx["inv"], inv)
+        np.testing.assert_array_equal(
+            ctx["xhat"], (x - mean[None, :, None, None]) * inv[None, :, None, None])
+
     def test_bn_gamma_zero_gives_beta(self):
         state = QBatchNorm2d(1, dtype=np.float64)
         state.gamma = np.zeros_like(state.gamma)
@@ -566,6 +583,51 @@ class TestHamiltonExpand:
         banks = np.random.default_rng(13).normal(size=shape)
         np.testing.assert_array_equal(hamilton_expand(banks),
                                       materialize_block_weight(banks))
+
+    # (map, kernel, padding): 3 of 9 taps live, 3 of 5 columns live, all live
+    LIVE_CASES = [((2, 1), (3, 3), 1), ((4, 2), (5, 5), 2), ((6, 5), (3, 3), 1)]
+
+    @pytest.mark.parametrize("hw,kernel,pad", LIVE_CASES)
+    def test_live_tap_expand_and_fold_are_the_full_ones_sliced(self, hw, kernel, pad):
+        rng = np.random.default_rng(16)
+        *_, ta, tb = _live_taps(*hw, *kernel, 1, pad)
+        banks = rng.normal(size=(4, 3, 2, *kernel))
+        np.testing.assert_array_equal(hamilton_expand(banks[..., ta, tb]),
+                                      hamilton_expand(banks)[..., ta, tb])
+        g = np.zeros((12, 8, *kernel))
+        g[..., ta, tb] = rng.normal(size=g[..., ta, tb].shape)
+        full = hamilton_fold(g)
+        np.testing.assert_array_equal(hamilton_fold(g[..., ta, tb]), full[..., ta, tb])
+        dead = np.ones(kernel, bool)
+        dead[ta, tb] = False
+        assert not full[..., dead].any()
+
+    @pytest.mark.parametrize("hw,kernel,pad", LIVE_CASES)
+    def test_bank_gradient_is_the_fold_of_the_real_one(self, hw, kernel, pad):
+        # QConv2d's bank gradient, folded from its live taps, against the
+        # real conv on the expanded weight, folded whole; a dead tap's is 0.0
+        from qprune.autodiff import backward, forward, mse_loss
+
+        rng = np.random.default_rng(17)
+        qconv = QConv2d(2, 3, kernel, padding=pad)
+        qconv.init_params(rng)
+        qconv.bias = rng.normal(size=qconv.bias.shape).astype(np.float32)
+        real = Conv2d(8, 12, kernel, padding=pad)
+        real.w, real.b = qconv.real_weight(), qconv.real_bias()
+        oh, ow, ta, tb = _live_taps(*hw, *kernel, 1, pad)
+        x = rng.normal(size=(3, 4, 2, *hw)).astype(np.float32)
+        target = rng.normal(size=(3, 12, oh, ow))
+        grads = []
+        for layer, xin in ((qconv, x), (real, x.reshape(3, 8, *hw))):
+            model = ModelGraph([layer], (8, *hw), 1, quaternion=layer is qconv)
+            z, tape = forward(model, xin)
+            grads.append(backward(tape, mse_loss(z, target.reshape(z.shape), tape)))
+        gq, gr = grads
+        np.testing.assert_array_equal(gq[(0, "weights")], hamilton_fold(gr[(0, "w")]))
+        dead = np.ones(kernel, bool)
+        dead[ta, tb] = False
+        assert np.all(gq[(0, "weights")][..., dead] == 0.0)
+        assert not np.signbit(gq[(0, "weights")][..., dead]).any()
 
     @pytest.mark.parametrize("shape", [(4, 3, 2, 3, 3), (4, 5, 3)])
     def test_fold_is_adjoint(self, shape):
