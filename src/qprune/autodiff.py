@@ -2,7 +2,8 @@
 
 The ``Tape`` records each layer application (with the context its backward
 needs) during a forward pass; ``backward`` walks the record in reverse and
-fills a gradient buffer for every learned parameter.  Loss functions return
+fills one gradient array per dtype in the layout of the model's store
+(``nn.Slots``), which the optimizers step in place.  Loss functions return
 a ``Loss`` value (a float subclass) carrying the analytic gradient with
 respect to the logits, so the chain starts from closed-form loss gradients
 rather than a scalar graph.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError, ShapeError
-from .nn import ModelGraph, _backprop_layers, _run_layers, freeze, model_input
+from .nn import ModelGraph, Slots, _backprop_layers, _run_layers, freeze, model_input
 
 
 class Tape:
@@ -171,8 +172,8 @@ def backward(tape: Tape, loss: Loss):
         raise ValueError("loss must be a Loss produced by a loss function")
     if loss.tape is not tape:
         raise ValueError("loss was not produced from this tape")
-    grads = {(lid, name): np.zeros_like(arr)
-             for lid, _, name, arr in tape.model.all_params()}
+    tape.model.sync_store()
+    grads = Slots(tape.model.layout)
     g = np.asarray(loss.dlogits, dtype=tape.output.dtype)
     if g.shape != tape.output.shape:
         raise ShapeError(f"loss gradient {g.shape} vs logits {tape.output.shape}")
@@ -186,7 +187,8 @@ def backward(tape: Tape, loss: Loss):
 # ---------------------------------------------------------------------------
 
 class OptimState:
-    """SGD or Adam state over a model's parameters."""
+    """SGD or Adam on the parameter part of a model's store, with Adam's
+    ``m`` and ``v`` Slots in its layout."""
 
     chunk = 1 << 16  # Adam's elements per chunk, whose arrays stay in cache
 
@@ -194,42 +196,38 @@ class OptimState:
                  beta1=0.9, beta2=0.999, eps=1e-8):
         if kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {kind!r}")
+        if not 0 <= lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
         self.model = model
         self.kind = kind
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {}
-        self.v = {}
-        if kind == "adam":
-            for lid, _, name, arr in model.all_params():
-                self.m[(lid, name)] = np.zeros_like(arr)
-                self.v[(lid, name)] = np.zeros_like(arr)
+        model.sync_store()
+        self.m, self.v = (Slots(model.layout if kind == "adam" else ()) for _ in "mv")
 
     def step(self, grads):
-        """Apply one update in place; returns the model."""
+        """Apply one update in place; returns the model.  A plain dict of
+        gradients is first copied into Slots."""
         self.t += 1
+        store, layout = self.model.sync_store(), self.model.layout
+        grads = grads if getattr(grads, "layout", None) == layout else Slots(layout, grads)
+        if self.kind == "sgd":
+            for dt, g in grads.flat.items():
+                store[dt][: g.size] -= (self.lr * g).astype(dt, copy=False)
+            return self.model
+        if self.m.layout != layout:
+            raise ShapeError("the model's parameters changed since the optimizer was built")
+        # flat chunks, their two scratch arrays carved from one buffer
         work = np.empty(0, np.uint8)
-        for lid, _, name, arr in self.model.all_params():
-            g = grads[(lid, name)]
-            if g.shape != arr.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} != parameter shape {arr.shape}"
-                )
-            if self.kind == "sgd":
-                arr -= (self.lr * g).astype(arr.dtype, copy=False)
-                continue
-            # flat chunks, their two scratch arrays carved from one buffer;
-            # an array whose flat view would be a copy is one chunk
-            views = (arr, g, self.m[(lid, name)], self.v[(lid, name)])
-            chunks = ([[a.reshape(-1)[i : i + self.chunk] for a in views]
-                       for i in range(0, arr.size, self.chunk)]
-                      if all(a.flags.c_contiguous for a in views) else [views])
-            for p, g, m, v in chunks:
+        for dt, flat in grads.flat.items():
+            views = (store[dt][: flat.size], flat, self.m.flat[dt], self.v.flat[dt])
+            for i in range(0, flat.size, self.chunk):
+                p, g, m, v = (x[i : i + self.chunk] for x in views)
                 if work.nbytes < 2 * p.nbytes:
                     work = np.empty(2 * p.nbytes, np.uint8)
                 # p -= lr * mhat / (sqrt(vhat) + eps), in its operation order
-                a, b = work[:2 * p.nbytes].view(p.dtype).reshape((2,) + p.shape)
+                a, b = work[: 2 * p.nbytes].view(dt).reshape(2, -1)
                 m *= self.beta1
                 m += np.multiply(1 - self.beta1, g, out=a)
                 v *= self.beta2
@@ -265,8 +263,10 @@ class OptimState:
         opt.t = meta["t"]
         for key, arr in state["slots"].items():
             which, lid, name = key.split(":", 2)
-            table = opt.m if which == "m" else opt.v
-            table[(int(lid), name)] = arr
+            slot = (opt.m if which == "m" else opt.v).get((int(lid), name))
+            if slot is None or slot.shape != arr.shape:
+                raise ShapeError(f"optimizer slot {key} {arr.shape} does not fit the model")
+            slot[...] = arr
         return opt
 
 
@@ -346,18 +346,6 @@ def evaluate_metric(model, features, labels, task, batch_size=64):
     return mean_average_precision(np.concatenate(scores), labels).value
 
 
-def _snapshot(model):
-    return [arr.copy() for _, _, _, arr in model.all_params()] + [
-        arr.copy() for _, _, _, arr in model.all_buffers()
-    ]
-
-
-def _restore(model, snap):
-    arrays = model.all_params() + model.all_buffers()
-    for (lid, layer, name, _), saved in zip(arrays, snap):
-        layer.set_array(name, saved.copy())
-
-
 def train_loop(model, features, labels, config: TrainConfig,
                val_features=None, val_labels=None,
                loss_fn=None, log_rows=None):
@@ -389,8 +377,7 @@ def train_loop(model, features, labels, config: TrainConfig,
     result = TrainResult(model=model, history=[] if log_rows is None else log_rows)
     best = -np.inf
     best_snap = None
-    all_params = model.all_params()
-    dtype = all_params[0][3].dtype if all_params else np.float32
+    dtype = next(iter(model.sync_store()), np.float32)  # the first parameter's
 
     for it in range(1, config.iterations + 1):
         idx = rng.choice(n, size=min(config.batch_size, n), replace=False)
@@ -423,7 +410,7 @@ def train_loop(model, features, labels, config: TrainConfig,
             if metric > best:
                 best = metric
                 if config.keep == "best":
-                    best_snap = _snapshot(model)
+                    best_snap = {dt: flat.copy() for dt, flat in model.sync_store().items()}
         result.history.append((it, float(loss), metric))
         result.iterations_run = it
         if (metric is not None and config.target_metric is not None
@@ -431,7 +418,8 @@ def train_loop(model, features, labels, config: TrainConfig,
             break
 
     if config.keep == "best" and best_snap is not None:
-        _restore(model, best_snap)
+        for dt, flat in model.sync_store().items():  # one copy per dtype
+            flat[...] = best_snap[dt]
     if best > -np.inf:
         result.best_metric = best
     return result

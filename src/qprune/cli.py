@@ -32,13 +32,14 @@ class Opt(NamedTuple):
     choices: tuple = ()
     help: str | None = None
     positional: bool = False
+    domain: tuple = ()  # (test of the parsed value, what the test requires)
 
 
 _SHARED = {"seed": Opt(int, 0), "out": Opt(help="output directory")}
 _TRAINING = {
     **_SHARED,
     "data": Opt(),
-    "lr": Opt(float, 1e-3),
+    "lr": Opt(float, 1e-3, domain=(lambda v: v >= 0 and np.isfinite(v), "a finite number >= 0")),
     "batch_size": Opt(int, 16),
     "optimizer": Opt(str, "adam", ("sgd", "adam")),
     "val_fraction": Opt(float, 0.0),
@@ -60,10 +61,10 @@ COMMANDS = {
         "data": Opt(help="dataset for fine-tuning"),
         "checkpoint": Opt(),
         "method": Opt(str, "op", pruning.METHODS),
-        "ratio": Opt(float, 0.5),
+        "ratio": Opt(float, 0.5, domain=(lambda v: 0 <= v < 1, "in [0, 1)")),
         "layers": Opt(str, "default",
                       help="comma-separated layer indices or 'default'"),
-        "finetune_iterations": Opt(int, 0),
+        "finetune_iterations": Opt(int, 0, domain=(lambda v: v >= 0, ">= 0")),
     }),
     "distill": ("train a student against a teacher", {
         **_TRAINING,
@@ -118,6 +119,8 @@ def _cast(opt, raw, where):
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"{where}: {raw!r} is not one of "
                           f"{', '.join(opt.choices)}")
+    if opt.domain and not opt.domain[0](value):
+        raise ConfigError(f"{where}: {raw!r} is not {opt.domain[1]}")
     return value
 
 
@@ -242,12 +245,6 @@ def _parse_layers(spec_text, model):
 
 
 def cmd_prune(cfg):
-    # checked before any file is written; build_prune_plan raises PlanError
-    if not 0.0 <= cfg["ratio"] < 1.0:
-        raise ConfigError(f"--ratio must lie in [0, 1), got {cfg['ratio']:g}")
-    if cfg["finetune_iterations"] < 0:
-        raise ConfigError("--finetune-iterations must be non-negative, "
-                          f"got {cfg['finetune_iterations']}")
     ckpt = _require_file(cfg["checkpoint"], "checkpoint")
     model, _ = nn.load_checkpoint(ckpt)
     if cfg["finetune_iterations"]:

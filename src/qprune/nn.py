@@ -225,7 +225,12 @@ class Layer:
         return []
 
     def set_array(self, name, arr):
-        setattr(self, name, arr)
+        """Set an array; one of the current shape and dtype is written into
+        the current one, so a view of a model's store stays one."""
+        cur = getattr(self, name, None)
+        if cur is None or (cur.shape, cur.dtype) != (arr.shape, arr.dtype):
+            return setattr(self, name, arr)
+        cur[...] = arr
 
     def init_params(self, rng):
         pass
@@ -435,10 +440,9 @@ class BatchNorm2d(Layer):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
     def init_params(self, rng):
-        self.gamma = np.ones_like(self.gamma)
-        self.beta = np.zeros_like(self.beta)
-        self.running_mean = np.zeros_like(self.running_mean)
-        self.running_var = np.ones_like(self.running_var)
+        for arr, value in ((self.gamma, 1), (self.beta, 0),
+                           (self.running_mean, 0), (self.running_var, 1)):
+            arr.fill(value)
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
         if x.shape[1:-2] != self.axes(self.channels):
@@ -787,12 +791,33 @@ def _walk(layers):
             yield from _walk(layer.layers)
 
 
+class Slots(dict):
+    """(lid, name) -> a view of ``flat``, one array per dtype laid out as
+    ``layout`` says (see ``ModelGraph``): zeros, or a copy of ``values``."""
+
+    def __init__(self, layout, values=None):
+        ends = {dt: start + math.prod(shape) for _, dt, start, shape in layout}
+        self.layout, self.flat = layout, {dt: np.zeros(n, dt) for dt, n in ends.items()}
+        for key, dt, start, shape in layout:
+            self[key] = self.flat[dt][start : start + math.prod(shape)].reshape(shape)
+            if values is not None:
+                if np.shape(values[key]) != shape:
+                    raise ShapeError(f"{key}: shape {np.shape(values[key])} != {shape}")
+                self[key][...] = values[key]
+
+
 class ModelGraph:
     """An ordered stack of layers with shape metadata.
 
     ``input_shape`` is always expressed in real-channel terms (C, H, W); a
     quaternion model consumes it as (4, C/4, H, W) plane-stacked input.
     ``prunable`` holds the default target layer indices for filter pruning.
+
+    ``store`` holds, per dtype, one flat array of every parameter and then
+    every buffer of that dtype, each layer array a view of it; ``layout``
+    lists ((lid, name), dtype, start, shape) of the parameters.
+    ``sync_store`` rebuilds the store once an array was replaced (by
+    ``astype``, surgery or a plain attribute assignment).
     """
 
     def __init__(self, layers, input_shape, num_classes, quaternion,
@@ -808,10 +833,33 @@ class ModelGraph:
         if self.quaternion and self.input_shape[0] % 4:
             raise ShapeError("quaternion model input channels must be divisible by 4")
         self._assign_ids()
+        self._build_store()
 
     def _assign_ids(self):
         for lid, layer in enumerate(self.walk()):
             layer.lid = lid
+
+    def _build_store(self):
+        n, arrays = len(self.all_params()), self.all_params() + self.all_buffers()
+        ends, layout = {}, []
+        for lid, _, name, arr in arrays:
+            layout.append(((lid, name), arr.dtype, ends.get(arr.dtype, 0), arr.shape))
+            ends[arr.dtype] = layout[-1][2] + arr.size
+        store = Slots(layout, {(lid, name): arr for lid, _, name, arr in arrays})
+        for (_, layer, name, _), view in zip(arrays, store.values()):
+            setattr(layer, name, view)
+        self.store, self._views, self.layout = store.flat, list(store.values()), tuple(layout[:n])
+
+    def sync_store(self):
+        """The store, rebuilt first if a layer array was replaced since."""
+        arrays = [arr for *_, arr in self.all_params() + self.all_buffers()]
+        if list(map(id, arrays)) != list(map(id, self._views)):
+            self._build_store()
+        return self.store
+
+    def __getstate__(self):
+        # a deep or pickled copy copies the layer arrays, then builds its store
+        return {**self.__dict__, "store": {}, "_views": []}
 
     def walk(self):
         """All layers depth-first, entering residual blocks at any depth."""
@@ -819,18 +867,10 @@ class ModelGraph:
 
     def all_params(self):
         """(lid, layer, name, array) for every learned parameter."""
-        out = []
-        for layer in self.walk():
-            for name, arr in layer.params():
-                out.append((layer.lid, layer, name, arr))
-        return out
+        return [(l.lid, l, name, arr) for l in self.walk() for name, arr in l.params()]
 
     def all_buffers(self):
-        out = []
-        for layer in self.walk():
-            for name, arr in layer.buffers():
-                out.append((layer.lid, layer, name, arr))
-        return out
+        return [(l.lid, l, name, arr) for l in self.walk() for name, arr in l.buffers()]
 
     def init_params(self, rng):
         for layer in self.walk():
@@ -838,14 +878,16 @@ class ModelGraph:
         return self
 
     def clone(self):
-        return copy.deepcopy(self)
+        model = copy.deepcopy(self)
+        model.sync_store()
+        return model
 
     def astype(self, dtype):
         """Return a copy with all parameters and buffers cast to dtype."""
         m = self.clone()
-        for layer in m.walk():
-            for name, arr in layer.params() + layer.buffers():
-                layer.set_array(name, arr.astype(dtype))
+        for _, layer, name, arr in m.all_params() + m.all_buffers():
+            layer.set_array(name, arr.astype(dtype))
+        m.sync_store()
         return m
 
     def layer_shapes(self):
@@ -976,70 +1018,54 @@ def freeze(model: ModelGraph) -> FrozenModel:
 # functional forms on QTensor / arrays
 # ---------------------------------------------------------------------------
 
-def _batched(x):
-    """Accept a QTensor or a plane-stacked array; return (batch array, unwrap)."""
+def _on_planes(layer, x, **kwargs):
+    """The layer's forward of plane-stacked batched input, or of a QTensor."""
     if isinstance(x, QTensor):
-        return x.data[None], lambda y: QTensor(y[0])
+        return QTensor(layer.forward(x.data[None], **kwargs)[0][0])
+    return layer.forward(np.asarray(x), **kwargs)[0]
+
+
+def _item_or_batch(layer, x, rank):
+    """The layer's forward of a batch x, or of one item x of the given rank."""
     arr = np.asarray(x)
-    return arr, lambda y: y
+    y, _ = layer.forward(arr[None] if arr.ndim == rank else arr)
+    return y[0] if arr.ndim == rank else y
 
 
 def real_conv2d(layer: Conv2d, x):
     """Apply a real convolution layer to (N, C, H, W) or (C, H, W) input."""
-    arr = np.asarray(x)
-    squeeze = arr.ndim == 3
-    if squeeze:
-        arr = arr[None]
-    y, _ = layer.forward(arr)
-    return y[0] if squeeze else y
+    return _item_or_batch(layer, x, 3)
 
 
 def qconv2d(layer: QConv2d, x):
     """Apply a quaternion convolution layer to a QTensor or batched planes."""
-    arr, unwrap = _batched(x)
-    y, _ = layer.forward(arr)
-    return unwrap(y)
+    return _on_planes(layer, x)
 
 
 def split_activation(x, kind="relu"):
     """Apply a real activation independently to each quaternion plane."""
     if kind != "relu":
         raise ValueError(f"unsupported activation {kind!r}")
-    arr, unwrap = _batched(x)
-    y, _ = ReLU().forward(arr)
-    return unwrap(y)
+    return _on_planes(ReLU(), x)
 
 
 def split_batchnorm(x, state: QBatchNorm2d, mode="train"):
     """Normalize each plane with its own statistics held in ``state``."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
-    arr, unwrap = _batched(x)
-    y, _ = state.forward(arr, mode=mode)
-    return unwrap(y)
+    return _on_planes(state, x, mode=mode)
 
 
 def split_pool(x, kind, window, stride=None):
     """Pool each plane independently; kind is 'max' or 'avg'."""
-    if kind == "max":
-        layer = MaxPool2d(window, stride)
-    elif kind == "avg":
-        layer = AvgPool2d(window, stride)
-    else:
+    if kind not in ("max", "avg"):
         raise ValueError(f"unsupported pool kind {kind!r}")
-    arr, unwrap = _batched(x)
-    y, _ = layer.forward(arr)
-    return unwrap(y)
+    return _on_planes((MaxPool2d if kind == "max" else AvgPool2d)(window, stride), x)
 
 
 def qlinear(layer: QLinear, x):
     """Apply a quaternion fully-connected layer to (N, 4, q_in) or (4, q_in)."""
-    arr = np.asarray(x)
-    squeeze = arr.ndim == 2
-    if squeeze:
-        arr = arr[None]
-    y, _ = layer.forward(arr)
-    return y[0] if squeeze else y
+    return _item_or_batch(layer, x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1098,15 +1124,16 @@ def convert_architecture(real_model: ModelGraph, seed=0) -> ModelGraph:
 # ---------------------------------------------------------------------------
 
 def _payload_arrays(model):
-    for layer in model.walk():
-        for name, arr in layer.params():
-            yield layer, name, arr
-        for name, arr in layer.buffers():
-            yield layer, name, arr
+    return [(layer, name, arr) for layer in model.walk()
+            for name, arr in layer.params() + layer.buffers()]
 
 
 def save_checkpoint(model: ModelGraph, path, optimizer=None):
     """Write a model (and optionally optimizer state) to a QPRS file."""
+    dtypes = sorted({arr.dtype.name for *_, arr in _payload_arrays(model)} - {"float32"})
+    if dtypes:
+        raise ConfigError(f"a QPRS checkpoint holds float32 arrays only; the model "
+                          f"has {', '.join(dtypes)} arrays (cast it with astype)")
     header = {
         "format": CHECKPOINT_VERSION,
         "plane_order": "RIJK",
@@ -1189,17 +1216,16 @@ def _read_checkpoint(raw, offset, path):
     if model.layer_shapes()[-1:] != [(model.num_classes,)]:
         raise FormatError(f"{path}: the layers do not end in "
                           f"{model.num_classes} class logits")
-    arrays = list(_payload_arrays(model))
+    arrays = _payload_arrays(model)
     expected = [{"lid": layer.lid, "name": name, "shape": list(arr.shape)}
                 for layer, name, arr in arrays]
     if header["payload"] != expected:
         raise FormatError(f"{path}: payload table does not match the model")
-    for layer, name, arr in arrays:
+    for _, name, arr in arrays:
         nbytes = 4 * arr.size
         if offset + nbytes > len(raw):
             raise TruncationError(f"{path}: payload ends before {name}")
-        layer.set_array(name, np.frombuffer(
-            raw[offset : offset + nbytes], dtype="<f4").reshape(arr.shape).copy())
+        arr[...] = np.frombuffer(raw[offset : offset + nbytes], dtype="<f4").reshape(arr.shape)
         offset += nbytes
 
     opt_state = None

@@ -37,8 +37,6 @@ METHODS = ("l1", "gm", "op")
 
 def l1_importance(layer: QConv2d):
     """Per-filter importance: sum of |w| over all four kernel banks."""
-    if layer.q_out < 1:
-        raise DegenerateLayerError("layer has no filters")
     return np.abs(np.asarray(layer.weights, dtype=np.float64)).sum(axis=(0, 2, 3, 4))
 
 
@@ -100,8 +98,6 @@ def gm_importance(layer: QConv2d):
 def op_importance(layer: QConv2d):
     """Per-filter summed operator norms of the four component matrices,
     each component reshaped to (q_in, kh * kw)."""
-    if layer.q_out < 1:
-        raise DegenerateLayerError("layer has no filters")
     kh, kw = layer.kernel
     mats = np.asarray(layer.weights, dtype=np.float64).reshape(
         4, layer.q_out, layer.q_in, kh * kw)
@@ -136,9 +132,6 @@ class PrunePlan:
     method: str
     ratio: float
     entries: list = field(default_factory=list)
-
-    def removal_counts(self):
-        return {e.layer_index: len(e.removed) for e in self.entries}
 
 
 def _check_target(model, idx):
@@ -262,13 +255,13 @@ def apply_prune(model: ModelGraph, plan: PrunePlan) -> ModelGraph:
             continue
         layer = pruned.layers[entry.layer_index]
         keep = [i for i in range(layer.q_out) if i not in set(entry.removed)]
-        layer.weights = layer.weights[:, keep].copy()
-        if layer.has_bias:
-            layer.bias = layer.bias[:, keep].copy()
+        for name, arr in layer.params():  # the banks, then any bias
+            setattr(layer, name, arr[:, keep])
         m_old = layer.q_out
         layer.q_out = len(keep)
         _slice_downstream(pruned, shapes, entry.layer_index, keep, m_old)
     pruned.layer_shapes()  # shape-check the surgered graph
+    pruned.sync_store()
     return pruned
 
 

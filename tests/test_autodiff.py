@@ -29,7 +29,7 @@ from qprune.autodiff import (
     step,
     train_loop,
 )
-from qprune.exceptions import DivergenceError, ShapeError
+from qprune.exceptions import ConfigError, DivergenceError, ShapeError
 from qprune.nn import Flatten, Linear, ModelGraph
 
 
@@ -333,6 +333,20 @@ class TestOptimizers:
             z2, _ = forward(model, x)
             after = float(mse_loss(z2, target))
             assert after < float(before)
+
+    @pytest.mark.parametrize("lr", [-1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_learning_rate_outside_its_domain(self, kind, lr):
+        with pytest.raises(ConfigError):
+            OptimState(toy_real_model(), kind, lr=lr)
+
+    def test_zero_learning_rate_is_a_no_op(self):
+        model = toy_real_model()
+        before = [a.copy() for *_, a in model.all_params()]
+        opt = OptimState(model, "adam", lr=0.0)
+        step(opt, {(lid, n): np.ones_like(a) for lid, _, n, a in model.all_params()})
+        for b, (*_, a) in zip(before, model.all_params()):
+            np.testing.assert_array_equal(a, b)
 
     @staticmethod
     def textbook_adam(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -15,7 +15,7 @@ from qprune.autodiff import (
     inference,
     one_hot,
 )
-from qprune.exceptions import FormatError, TruncationError
+from qprune.exceptions import ConfigError, FormatError, ShapeError, TruncationError
 from qprune.metrics import count_params
 from qprune.models import build_model
 from qprune.nn import (
@@ -99,6 +99,11 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(restored.m[key], arr)
         for key, arr in opt.v.items():
             np.testing.assert_array_equal(restored.v[key], arr)
+        # a slot the model lacks, or of another shape, is refused
+        for key, arr in (("m:99:w", np.zeros(3, np.float32)),
+                         ("v:0:weights", np.zeros(3, np.float32))):
+            with pytest.raises(ShapeError, match=key):
+                OptimState.from_saved(back, {"meta": state["meta"], "slots": {key: arr}})
 
 
 class TestCheckpointErrors:
@@ -130,6 +135,17 @@ class TestCheckpointErrors:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(TruncationError):
             load_checkpoint(path)
+
+    def test_non_float32_model_is_refused(self, tmp_path):
+        # payloads are float32, so a float64 model could not round-trip
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=11)
+        mixed = ModelGraph([Flatten(), Linear(4, 2, dtype=np.float64)], (4, 1, 1), 2,
+                           quaternion=False)
+        for bad in (model.astype(np.float64), mixed):
+            path = tmp_path / "d.qprs"
+            with pytest.raises(ConfigError, match="float64"):
+                save_checkpoint(bad, path)
+            assert not path.exists()
 
     def test_header_byte_flips_raise_format_error(self, tmp_path):
         # a flipped header byte either still loads or is a FormatError,

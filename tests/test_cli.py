@@ -529,6 +529,22 @@ def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
     assert not list(tmp_path.rglob("*.qprs"))
 
 
+@pytest.mark.parametrize("command", ["train", "prune", "distill"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_learning_rate_outside_its_domain(tmp_path, capsys, command, value, by):
+    # refused before any input is read or --out made: the dataset is missing
+    lr = ([f"--lr={value}"] if by == "flag"
+          else ["--config", _config(f"lr={value}\n")(tmp_path)])
+    capsys.readouterr()
+    assert main([command, "--data", str(tmp_path / "missing"), *lr,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "lr" in err and "is not a finite number >= 0" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_mel_sample_error_names_the_file(tmp_path, capsys):
     data = tmp_path / "data"
     save_dataset(synth_dataset(3, 6, seed=0, frames=16, bins=16), data)

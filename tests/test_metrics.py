@@ -235,6 +235,33 @@ class TestCountMacs:
         assert count_macs(model) == 16 * 3 * 2 + 12 * 2
 
 
+class TestQResnetMiniCounts:
+    """qresnet-mini at 4 classes on (4, 32, 16) input, derived per layer:
+    a quaternion q_in -> q_out 3x3 conv holds 4*q_out*q_in*9 kernel and
+    4*q_out bias scalars and costs 16*q_out*q_in*9 MACs per output
+    position; a quaternion BN of q channels holds 2*4*q scalars."""
+
+    def qconv(self, q_in, q_out, hw):
+        return 4 * q_out * q_in * 9 + 4 * q_out, 16 * q_out * q_in * 9 * hw
+
+    def test_params_and_macs_match_the_closed_form(self):
+        from qprune.models import build_model
+
+        model = build_model("qresnet-mini", 4, (4, 32, 16), seed=0)
+        # (q_in, q_out, output map size): the stem at 32x16, each residual
+        # block's two convs at 16x8 and 8x4, the two tail convs at 4x2
+        convs = [(1, 8, 512), (8, 8, 128), (8, 8, 128), (8, 8, 32), (8, 8, 32),
+                 (8, 16, 8), (16, 32, 8)]
+        costs = [self.qconv(*c) for c in convs]
+        bn = sum(2 * 4 * q_out for _, q_out, _ in convs)
+        head = (4 * 32 * 4 + 4, 4 * 32 * 4)  # Linear(128, 4)
+        params = sum(p for p, _ in costs) + bn + head[0]
+        macs = sum(m for _, m in costs) + head[1]
+        assert (params, macs) == (34116, 4276736)
+        assert count_params(model) == params
+        assert count_macs(model) == macs
+
+
 class TestTimedInference:
     def _model(self):
         from qprune.models import build_model
