@@ -35,16 +35,21 @@ class Opt(NamedTuple):
     domain: tuple = ()  # (test of the parsed value, what the test requires)
 
 
+def _at_least(n):
+    return (lambda v: v >= n, f">= {n}")
+
+
+_FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
 _SHARED = {"seed": Opt(int, 0), "out": Opt(help="output directory")}
 _TRAINING = {
     **_SHARED,
     "data": Opt(),
     "lr": Opt(float, 1e-3, domain=(lambda v: v >= 0 and np.isfinite(v), "a finite number >= 0")),
-    "batch_size": Opt(int, 16),
+    "batch_size": Opt(int, 16, domain=_at_least(1)),
     "optimizer": Opt(str, "adam", ("sgd", "adam")),
-    "val_fraction": Opt(float, 0.0),
+    "val_fraction": Opt(float, 0.0, domain=_FRACTION),
 }
-_ITERATIONS = Opt(int, 500)
+_ITERATIONS = Opt(int, 500, domain=_at_least(0))
 
 # command -> (help, option table); ``cmd_<command>`` runs it
 COMMANDS = {
@@ -53,7 +58,7 @@ COMMANDS = {
         "data": Opt(help="feature dataset directory"),
         "model": Opt(str, "qcnn-mini", models.MODEL_NAMES),
         "iterations": _ITERATIONS,
-        "target_metric": Opt(float),
+        "target_metric": Opt(float, domain=(np.isfinite, "a finite number")),
         "mixup": Opt(bool, False),
     }),
     "prune": ("score, prune, and optionally fine-tune", {
@@ -61,17 +66,17 @@ COMMANDS = {
         "data": Opt(help="dataset for fine-tuning"),
         "checkpoint": Opt(),
         "method": Opt(str, "op", pruning.METHODS),
-        "ratio": Opt(float, 0.5, domain=(lambda v: 0 <= v < 1, "in [0, 1)")),
+        "ratio": Opt(float, 0.5, domain=_FRACTION),
         "layers": Opt(str, "default",
                       help="comma-separated layer indices or 'default'"),
-        "finetune_iterations": Opt(int, 0, domain=(lambda v: v >= 0, ">= 0")),
+        "finetune_iterations": Opt(int, 0, domain=_at_least(0)),
     }),
     "distill": ("train a student against a teacher", {
         **_TRAINING,
         "teacher": Opt(),
         "plan": Opt(help="prune plan defining the student shape"),
-        "alpha": Opt(float, 0.5),
-        "temperature": Opt(float, 2.0),
+        "alpha": Opt(float, 0.5, domain=(lambda v: 0 <= v <= 1, "in [0, 1]")),
+        "temperature": Opt(float, 2.0, domain=(lambda v: v > 0, "> 0")),
         "t2_scaling": Opt(bool, False),
         "iterations": _ITERATIONS,
     }),
@@ -81,7 +86,7 @@ COMMANDS = {
         "data": Opt(),
         "method": Opt(str, "", help="label for the report row"),
         "ratio": Opt(float, 0.0, help="label for the report row"),
-        "time_repeats": Opt(int, 0),
+        "time_repeats": Opt(int, 0, domain=(lambda v: v == 0 or v >= 3, "0 or >= 3")),
         "batch_size": _TRAINING["batch_size"],
     }),
     "compare": ("merge eval CSVs into one table", {
@@ -91,10 +96,10 @@ COMMANDS = {
     "features": ("build feature datasets", {
         **_SHARED,
         "mode": Opt(str, None, ("synth", "wav"), positional=True),
-        "classes": Opt(int, 4),
+        "classes": Opt(int, 4, domain=_at_least(2)),
         "samples": Opt(int, 200),
-        "frames": Opt(int, 32),
-        "bins": Opt(int, 16),
+        "frames": Opt(int, 32, domain=_at_least(7)),
+        "bins": Opt(int, 16, domain=_at_least(1)),
         "multilabel": Opt(bool, False),
         "input": Opt(help="wav file or directory"),
         "allow_other_rate": Opt(bool, False),
@@ -235,7 +240,7 @@ def cmd_train(cfg):
     return 0
 
 
-def _parse_layers(spec_text, model):
+def _parse_layers(spec_text):
     if spec_text in ("", "default"):
         return None  # model's default prunable set
     try:
@@ -250,10 +255,10 @@ def cmd_prune(cfg):
     if cfg["finetune_iterations"]:
         train_ds, val_ds = _load_data(cfg)
         _check_task(train_ds, model)
-    out = _out_dir(cfg)
     plan = pruning.build_prune_plan(model, cfg["method"], cfg["ratio"],
-                                    _parse_layers(cfg["layers"], model))
+                                    _parse_layers(cfg["layers"]))
     pruned = pruning.apply_prune(model, plan)
+    out = _out_dir(cfg)
     pruning.save_plan(plan, out / "plan.qplan")
     nn.save_checkpoint(pruned, out / "pruned.qprs")
 

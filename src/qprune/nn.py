@@ -878,7 +878,8 @@ class ModelGraph:
         return self
 
     def clone(self):
-        model = copy.deepcopy(self)
+        # the memo shares the source's arrays, so sync_store copies each once
+        model = copy.deepcopy(self, {id(a): a for a in self._views})
         model.sync_store()
         return model
 

@@ -30,7 +30,7 @@ from .exceptions import (
     PlanError,
     SurgeryError,
 )
-from .nn import Linear, ModelGraph, QBatchNorm2d, QConv2d, QLinear, ResidualBlock
+from .nn import Linear, ModelGraph, QBatchNorm2d, QConv2d, ResidualBlock
 
 METHODS = ("l1", "gm", "op")
 
@@ -191,75 +191,51 @@ def _validate_plan(model, plan):
             )
 
 
-def _slice_downstream(model, shapes, idx, keep, m_old):
-    """Drop the pruned quaternion channels from whatever consumes layer idx."""
-    j = idx + 1
-    while j < len(model.layers):
-        layer = model.layers[j]
+def _slice_downstream(model, idx, keep, m_old):
+    """Drop the pruned filters' channels from the layers that read layer idx.
+
+    Per plane, the input of the next layer with widths is m_old equal
+    blocks, one per filter of layer idx, a block being the spatial
+    positions a Flatten folded in, or 1; that layer keeps the kept
+    filters' blocks.  A quaternion batch norm keeps them on axis 1 of its
+    (4, q) arrays and the walk goes on; a conv or linear layer keeps them
+    on axis 2 of its banks, or in each plane of a real weight's columns."""
+    for j, layer in enumerate(model.layers[idx + 1 :], start=idx + 1):
+        if not (layer.widths or isinstance(layer, ResidualBlock)):
+            continue  # ReLU, pooling and Flatten keep the channels apart
+        width = layer.widths[0] if isinstance(layer, (QBatchNorm2d, QConv2d, Linear)) else None
+        c = width and getattr(layer, width) * (4 if layer.quaternion else 1)  # real input width
+        if not c or c % (4 * m_old):  # not a consumer, or not whole blocks
+            raise SurgeryError(f"layer {j} ({layer.type_name}) cannot take the "
+                               f"pruned channels of layer {idx}")
+        kept = np.arange(c // 4).reshape(m_old, -1)[keep].ravel()
+        setattr(layer, width, getattr(layer, width) // m_old * len(keep))
         if isinstance(layer, QBatchNorm2d):
-            if layer.q != m_old:
-                raise SurgeryError(
-                    f"batch norm at layer {j} has {layer.q} channels, "
-                    f"expected {m_old}"
-                )
-            for name in ("gamma", "beta", "running_mean", "running_var"):
-                layer.set_array(name, getattr(layer, name)[:, keep].copy())
-            layer.q = len(keep)
-        elif isinstance(layer, (QConv2d, QLinear)):
-            if layer.q_in != m_old:
-                raise SurgeryError(
-                    f"{layer.type_name} at layer {j} consumes {layer.q_in} "
-                    f"channels, expected {m_old}"
-                )
-            layer.weights = layer.weights[:, :, keep].copy()
-            layer.q_in = len(keep)
-            return
-        elif isinstance(layer, Linear):
-            # flattened plane-major features: view w as (out, 4, Q, H, W);
-            # shapes[] holds post-layer shapes, so walk back to the last
-            # rank-3 shape for the spatial dims entering the flatten
-            spatial = None
-            for back in range(j - 1, idx - 1, -1):
-                if len(shapes[back]) == 3:
-                    spatial = shapes[back]
-                    break
-            if spatial is None or spatial[0] != 4 * m_old:
-                raise SurgeryError(
-                    f"cannot map pruned channels into linear layer {j}"
-                )
-            _, h, w = spatial
-            view = layer.w.reshape(layer.c_out, 4, m_old, h, w)
-            layer.w = view[:, :, keep].reshape(layer.c_out, -1).copy()
-            layer.c_in = layer.w.shape[1]
-            return
-        elif isinstance(layer, ResidualBlock):
-            raise SurgeryError(
-                f"pruned channels flow into residual block at layer {j}; "
-                "residual interiors are not pruned"
-            )
-        elif layer.widths:  # a layer without widths keeps the channels
-            raise SurgeryError(
-                f"cannot propagate pruning through layer {j} ({layer.type_name})"
-            )
-        j += 1
+            for name, arr in layer.params() + layer.buffers():
+                setattr(layer, name, arr[:, kept])
+            continue
+        (name, w), *_ = layer.params()  # the weight; a bias is per output
+        if layer.quaternion:  # banks (4, q_out, q_in, *kernel)
+            setattr(layer, name, w[:, :, kept])
+        else:  # plane-major columns (c_out, 4, c_in / 4)
+            setattr(layer, name, w.reshape(len(w), 4, -1)[:, :, kept].reshape(len(w), -1))
+        return
     raise SurgeryError(f"no consumer found for pruned layer {idx}")
 
 
 def apply_prune(model: ModelGraph, plan: PrunePlan) -> ModelGraph:
     """Structural filter removal; returns a new model, input untouched."""
     _validate_plan(model, plan)
-    shapes = model.layer_shapes()
     pruned = model.clone()
     for entry in plan.entries:
         if not entry.removed:
             continue
         layer = pruned.layers[entry.layer_index]
-        keep = [i for i in range(layer.q_out) if i not in set(entry.removed)]
+        keep = np.delete(np.arange(layer.q_out), entry.removed)
         for name, arr in layer.params():  # the banks, then any bias
             setattr(layer, name, arr[:, keep])
-        m_old = layer.q_out
+        _slice_downstream(pruned, entry.layer_index, keep, layer.q_out)
         layer.q_out = len(keep)
-        _slice_downstream(pruned, shapes, entry.layer_index, keep, m_old)
     pruned.layer_shapes()  # shape-check the surgered graph
     pruned.sync_store()
     return pruned

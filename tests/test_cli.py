@@ -1,6 +1,8 @@
 """End-to-end CLI tests: the full features -> train -> prune -> distill ->
 eval -> compare pipeline on a small synthetic dataset."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,21 @@ class TestPruneCommand:
         assert code == 0
         assert (out / "finetuned.qprs").is_file()
         assert (out / "finetune_log.csv").is_file()
+
+    def test_surgery_into_a_residual_block_one_line_error(self, tmp_path, capsys):
+        from qprune.models import build_model
+        from qprune.nn import save_checkpoint
+
+        ckpt = tmp_path / "qresnet.qprs"
+        save_checkpoint(build_model("qresnet-mini", 3, (4, 16, 16), seed=0), ckpt)
+        capsys.readouterr()
+        code = main(["prune", "--checkpoint", str(ckpt), "--layers", "0",
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "residual" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestDistillCommand:
@@ -441,6 +458,21 @@ def _sample(n, values):
     return edit
 
 
+def _write(name, text):
+    def write(dataset_dir):
+        (dataset_dir / name).write_text(text)
+    return write
+
+
+def _patch(name, offset, packed):
+    def patch(dataset_dir):
+        path = dataset_dir / name
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(packed)] = packed
+        path.write_bytes(bytes(raw))
+    return patch
+
+
 def _config(text):
     def write(tmp_path):
         path = tmp_path / "run.cfg"
@@ -480,6 +512,13 @@ MALFORMED = [
     ("prune_finetune_iterations", ["prune", "--finetune-iterations", "-1"],
      None, 2),
     ("prune_ratio", ["prune", "--ratio", "2"], None, 2),
+    ("config_missing", ["train", "--config", lambda tmp: str(tmp / "none.cfg")],
+     None, 2),
+    ("config_no_equals", ["train", "--config", _config("lr 0.1\n")], None, 2),
+    ("config_bad_boolean", ["train", "--config", _config("mixup=maybe\n")], None, 2),
+    ("config_bad_number", ["train", "--config", _config("lr=fast\n")], None, 2),
+    ("prune_layers_not_integers", ["prune", "--layers", "x"], None, 2),
+    ("compare_without_inputs", ["compare"], None, 2),
     ("compare_p_not_number", ["compare", "--inputs", _eval_csv(p="x")], None, 1),
     ("compare_macs_not_number", ["compare", "--inputs", _eval_csv(macs="")],
      None, 1),
@@ -491,6 +530,13 @@ MALFORMED = [
      _edit("dataset.txt", "num_classes=3", "num_classes=three"), 1),
     ("label_out_of_range", ["eval"],
      _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,7"), 1),
+    ("manifest_no_header", ["eval"], _edit("manifest.csv", "file,label\n", ""), 1),
+    ("manifest_no_samples", ["eval"], _write("manifest.csv", "file,label\n"), 1),
+    ("sample_version", ["eval"],
+     _patch("sample_00000.qfea", 4, struct.pack("<I", 9)), 1),
+    ("sample_dtype_code", ["eval"],
+     _patch("sample_00000.qfea", 8, struct.pack("<I", 7)), 1),
+    ("sample_rank", ["eval"], _sample(0, np.zeros((4, 16, 16))), 1),
     ("task_unknown", ["train"], _edit("dataset.txt", "task=single", "task=foo"), 1),
     ("sample_shape_differs", ["train"], _sample(3, np.zeros((4, 1, 8, 16))), 1),
     ("sample_not_finite", ["train"], _sample(3, np.full((4, 1, 16, 16), np.nan)),
@@ -542,6 +588,46 @@ def test_learning_rate_outside_its_domain(tmp_path, capsys, command, value, by):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "lr" in err and "is not a finite number >= 0" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+# (command, option, bad value): each refused by the option's domain
+OUT_OF_DOMAIN = [
+    ("train", "batch_size", "0"), ("eval", "batch_size", "0"),
+    ("distill", "batch_size", "-2"),
+    ("train", "iterations", "-1"), ("distill", "iterations", "-1"),
+    ("eval", "time_repeats", "1"), ("eval", "time_repeats", "2"),
+    ("eval", "time_repeats", "-1"),
+    ("distill", "temperature", "0"), ("distill", "temperature", "-1"),
+    ("distill", "temperature", "nan"),
+    ("distill", "alpha", "-0.1"), ("distill", "alpha", "1.5"), ("distill", "alpha", "nan"),
+    ("train", "val_fraction", "1"), ("prune", "val_fraction", "-0.1"),
+    ("distill", "val_fraction", "nan"),
+    ("train", "target_metric", "nan"), ("train", "target_metric", "inf"),
+    ("features", "classes", "1"), ("features", "frames", "6"), ("features", "bins", "0"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", OUT_OF_DOMAIN,
+                         ids=["-".join(row) for row in OUT_OF_DOMAIN])
+@pytest.mark.parametrize("by", ["flag", "config"])
+def test_option_outside_its_domain(tmp_path, capsys, trained, data_dir, command,
+                                   option, value, by):
+    # refused before the (real) inputs are read or --out made
+    ckpt = str(trained / "model.qprs")
+    inputs = {"train": ["--data", str(data_dir)],
+              "prune": ["--checkpoint", ckpt, "--data", str(data_dir),
+                        "--finetune-iterations", "1"],
+              "distill": ["--teacher", ckpt, "--data", str(data_dir)],
+              "eval": ["--checkpoint", ckpt, "--data", str(data_dir)],
+              "features": ["synth"]}
+    bad = ([f"--{option.replace('_', '-')}={value}"] if by == "flag"
+           else ["--config", _config(f"{option}={value}\n")(tmp_path)])
+    capsys.readouterr()
+    assert main([command, *inputs[command], *bad, "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"'{value}' is not " in err and out == "", (out, err)
     assert not (tmp_path / "o").exists()
 
 

@@ -13,6 +13,8 @@ from qprune.exceptions import (
     SurgeryError,
 )
 from qprune.nn import (
+    AvgPool2d,
+    BatchNorm2d,
     Flatten,
     GlobalAvgPool2d,
     Linear,
@@ -230,6 +232,19 @@ def qlinear_tail_model(seed=0, dtype=np.float32):
     return model
 
 
+def flatten_tail_model(quaternion_head, seed=0):
+    """A pruned conv's 2x2 map flattened into a QLinear or Linear head."""
+    head = [QLinear(16, 3), Flatten(), Linear(12, 2)] if quaternion_head else [Linear(64, 2)]
+    layers = [QConv2d(1, 4, (3, 3), padding=1), QBatchNorm2d(4), ReLU(), AvgPool2d(4),
+              Flatten(), *head]
+    model = ModelGraph(layers, (4, 8, 8), 2, quaternion=True, prunable=[0])
+    return model.init_params(np.random.default_rng(seed))
+
+
+def store_bytes(model):
+    return {dt: flat.tobytes() for dt, flat in model.store.items()}
+
+
 class TestBuildPrunePlan:
     def test_p_zero_empty_sets(self):
         plan = build_prune_plan(chain_model(), "l1", 0.0)
@@ -373,6 +388,28 @@ class TestApplyPrune:
         x = rng.normal(size=(2, 4, 1, 6, 6)).astype(np.float32)
         assert inference(pruned, x).shape == (2, 2)
 
+    @pytest.mark.parametrize("quaternion_head", [True, False], ids=["qlinear", "linear"])
+    def test_zero_mask_oracle_head_after_a_flatten_of_a_2x2_map(self, rng, quaternion_head):
+        model = flatten_tail_model(quaternion_head, seed=13)
+        plan = build_prune_plan(model, "op", 0.5)
+        pruned = apply_prune(model, plan)
+        assert pruned.layers[5].c_in == 4 * 2 * 4  # four planes of 2 filters x 2x2
+
+        masked = model.clone()
+        removed = plan.entries[0].removed
+        masked.layers[0].weights[:, removed] = 0.0
+        masked.layers[0].bias[:, removed] = 0.0
+        head = masked.layers[5]
+        if quaternion_head:  # bank input q = filter * 4 + position
+            head.weights.reshape(4, 3, 4, 4)[:, :, removed] = 0.0
+        else:  # plane-major columns: plane, filter, position
+            head.w.reshape(2, 4, 4, 4)[:, :, removed] = 0.0
+
+        x = rng.normal(size=(4, 4, 1, 8, 8)).astype(np.float32)
+        np.testing.assert_allclose(inference(pruned, x, mode="eval"),
+                                   inference(masked, x, mode="eval"),
+                                   rtol=1e-5, atol=1e-6)
+
     def test_class_count_preserved(self, rng):
         model = chain_model(seed=10)
         for p in (0.25, 0.5, 0.75):
@@ -395,6 +432,56 @@ class TestApplyPrune:
         plan = PrunePlan("l1", 0.5, [PlanEntry(3, np.zeros(8), [1, 1])])
         with pytest.raises(SurgeryError):
             apply_prune(model, plan)
+
+
+class TestSurgeryRaises:
+    """Every refusal of apply_prune, each leaving the source model as it was."""
+
+    def refused(self, model, entry, error=SurgeryError):
+        before = store_bytes(model)
+        with pytest.raises(error) as info:
+            apply_prune(model, PrunePlan("l1", 0.5, [entry]))
+        assert store_bytes(model) == before
+        return str(info.value)
+
+    def test_plan_layer_index_out_of_range(self):
+        message = self.refused(chain_model(), PlanEntry(9, np.zeros(4), [0]), PlanError)
+        assert "layer index 9 out of range" in message
+
+    @pytest.mark.parametrize("removed", [[8], [-1], [0, 8]])
+    def test_removal_index_out_of_range(self, removed):
+        message = self.refused(chain_model(), PlanEntry(3, np.zeros(8), removed))
+        assert "out of range for layer 3" in message
+
+    def test_removing_every_filter(self):
+        message = self.refused(chain_model(), PlanEntry(0, np.zeros(4), [0, 1, 2, 3]))
+        assert "every filter of layer 0" in message
+
+    def test_channels_flowing_into_a_residual_block(self):
+        from qprune.models import build_model
+        model = build_model("qresnet-mini", 4, (4, 16, 16), seed=0)
+        message = self.refused(model, PlanEntry(0, np.zeros(8), [0, 1]))
+        assert "layer 4" in message and "residual" in message
+
+    def test_real_batch_norm_consumer(self):
+        layers = [QConv2d(1, 4, (1, 1)), BatchNorm2d(16), ReLU(), GlobalAvgPool2d(),
+                  Flatten(), Linear(16, 3)]
+        model = ModelGraph(layers, (4, 4, 4), 3, quaternion=True, prunable=[0])
+        message = self.refused(model, PlanEntry(0, np.zeros(4), [1]))
+        assert "layer 1" in message and "batchnorm2d" in message
+
+    def test_input_width_not_whole_blocks(self):
+        # 24 inputs are not 4 planes of 4 equal blocks (a graph that fails its shape check)
+        layers = [QConv2d(1, 4, (1, 1)), GlobalAvgPool2d(), Flatten(), Linear(24, 3)]
+        model = ModelGraph(layers, (4, 2, 2), 3, quaternion=True, prunable=[0])
+        message = self.refused(model, PlanEntry(0, np.zeros(4), [2]))
+        assert "layer 3" in message and "linear" in message
+
+    def test_no_consumer(self):
+        layers = [QConv2d(1, 4, (1, 1)), GlobalAvgPool2d(), Flatten()]
+        model = ModelGraph(layers, (4, 2, 2), 16, quaternion=True, prunable=[0])
+        message = self.refused(model, PlanEntry(0, np.zeros(4), [2]))
+        assert "no consumer" in message and "layer 0" in message
 
 
 class TestPlanSerialization:

@@ -1,6 +1,9 @@
 """The flat parameter store: every parameter and buffer of a model is a
 view of one array per dtype, which gradients and Adam's moments mirror."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from conftest import toy_residual_model
@@ -30,6 +33,15 @@ def assert_stored(model):
         assert sum(a.size for a in arrays if a.dtype == dt) == flat.size
 
 
+def assert_copied(clone, source):
+    """Equal arrays, none sharing memory with the source's store."""
+    pairs = zip(clone.all_params() + clone.all_buffers(),
+                source.all_params() + source.all_buffers())
+    for (*_, a), (*_, b) in pairs:
+        np.testing.assert_array_equal(a, b)
+        assert not any(np.shares_memory(a, flat) for flat in source.store.values())
+
+
 def batch(model, n=6, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 4, 1, 16, 16)).astype(np.float32)
@@ -50,7 +62,14 @@ class TestEveryArrayIsAView:
         assert_stored(model)
         model.init_params(np.random.default_rng(1))
         assert_stored(model)
-        assert_stored(model.clone())
+        clone = model.clone()
+        assert_stored(clone)
+        assert_copied(clone, model)
+        # a plain deep copy or pickle drops the store, then rebuilds its own
+        for other in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            other.sync_store()
+            assert_stored(other)
+            assert_copied(other, model)
 
     def test_after_astype(self):
         model = small_qcnn().astype(np.float64)
@@ -114,6 +133,9 @@ def test_two_dtypes_two_stores():
     assert list(model.store) == [np.dtype(np.float32), np.dtype(np.float64)]
     assert [f.size for f in model.store.values()] == [16 * 8 + 8, 8 * 3 + 3]
     assert_stored(model)
+    clone = model.clone()
+    assert_stored(clone)
+    assert_copied(clone, model)
     x = np.random.default_rng(1).normal(size=(5, 4, 2, 2)).astype(np.float32)
     z, tape = forward(model, x)
     grads = backward(tape, cross_entropy(z, one_hot([0, 1, 2, 0, 1], 3), tape))
