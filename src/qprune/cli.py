@@ -40,7 +40,8 @@ def _at_least(n):
 
 
 _FRACTION = (lambda v: 0 <= v < 1, "in [0, 1)")
-_SHARED = {"seed": Opt(int, 0), "out": Opt(help="output directory")}
+_SHARED = {"seed": Opt(int, 0, domain=_at_least(0)),
+           "out": Opt(help="output directory")}
 _TRAINING = {
     **_SHARED,
     "data": Opt(),
@@ -366,6 +367,10 @@ def cmd_compare(cfg):
 
 
 def cmd_features(cfg):
+    # --samples' bound depends on --classes, so no option domain states it
+    if cfg["mode"] == "synth" and cfg["samples"] < cfg["classes"]:
+        raise ConfigError(f"--samples: {cfg['samples']} is fewer than --classes "
+                          f"{cfg['classes']}; need one sample per class")
     out = _out_dir(cfg)
     if cfg["mode"] == "synth":
         ds = features.synth_dataset(cfg["classes"], cfg["samples"],

@@ -35,6 +35,11 @@ Every conv runs one forward, whose GEMM layout follows the mode: a
 train-mode map views channel-major (C, N, H, W) memory, which train-mode
 batch norm reads fastest and sums most accurately, and an eval-mode map,
 layer-wise or in a ``freeze`` snapshot of ordinary layers, channels-last.
+Every backward hands its input gradient on in the memory layout of its
+forward input (``_order``), so in training each map's gradient stays
+channel-major and BN, ReLU and the residual add run on one layout: a conv
+scatters channels-last, then makes one transposing copy, and a pool
+allocates its gradient in the layout it recorded.
 """
 
 from __future__ import annotations
@@ -90,6 +95,18 @@ def _live_taps(h, w, kh, kw, stride, padding):
         return slice(min(taps, default=0), max(taps, default=-1) + 1)
 
     return oh, ow, live(h, kh, oh), live(w, kw, ow)
+
+
+def _order(a):  # a map's layout: its axes, outermost in memory first
+    return tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
+
+
+def _in_order(a, order):  # a itself if so laid out, else one transposing copy
+    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+
+
+def _zeros(shape, dtype, order):  # zeros of shape, laid out as order says
+    return np.zeros([shape[i] for i in order], dtype).transpose(np.argsort(order))
 
 
 def _im2col(x, kh, kw, stride, padding):
@@ -379,8 +396,8 @@ class Conv2d(_Weighted):
         y, rows = _conv_forward(x.reshape(n, self.c_in, *x.shape[-2:]), w,
                                 self.real_bias(), self.kernel, self.stride,
                                 self.padding, mode)
-        ctx = ({"rows": rows, "w": w, "taps": (ta, tb), "x_shape": x.shape}
-               if record else None)
+        ctx = ({"rows": rows, "w": w, "taps": (ta, tb), "x_shape": x.shape,
+                "order": _order(x)} if record else None)
         return y.reshape(n, *self.axes(self.c_out), *y.shape[-2:]), ctx
 
     def backward(self, grad_y, ctx, grads):
@@ -390,7 +407,7 @@ class Conv2d(_Weighted):
             ctx["w"], self.kernel, (n, self.c_in, *x_shape[-2:]), self.stride,
             self.padding, ctx.get("input_grad", True))
         self._add_grads(grads, gw, gb, ctx["taps"])
-        return None if gx is None else gx.reshape(x_shape)
+        return None if gx is None else _in_order(gx.reshape(x_shape), ctx["order"])
 
     def out_shape(self, shape):
         c, h, w = shape
@@ -577,12 +594,12 @@ class MaxPool2d(_Pool2d):
             wins = x[tap] > y
             np.copyto(y, x[tap], where=wins)
             arg[wins] = k
-        ctx = {"arg": arg, "x_shape": x.shape} if record else None
+        ctx = {"arg": arg, "x_shape": x.shape, "order": _order(x)} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
         *_, taps = self._taps(ctx["x_shape"])
-        gx = np.zeros(ctx["x_shape"], dtype=grad_y.dtype)
+        gx = _zeros(ctx["x_shape"], grad_y.dtype, ctx["order"])
         for k, tap in enumerate(taps):
             gx[tap] += np.where(ctx["arg"] == k, grad_y, 0)
         return gx
@@ -600,12 +617,12 @@ class AvgPool2d(_Pool2d):
         for tap in taps:
             y += x[tap]
         y /= self.window * self.window
-        ctx = {"x_shape": x.shape} if record else None
+        ctx = {"x_shape": x.shape, "order": _order(x)} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
         g = grad_y / (self.window * self.window)
-        gx = np.zeros(ctx["x_shape"], dtype=grad_y.dtype)
+        gx = _zeros(ctx["x_shape"], grad_y.dtype, ctx["order"])
         *_, taps = self._taps(gx.shape)
         for tap in taps:
             gx[tap] += g
@@ -624,9 +641,7 @@ class GlobalAvgPool2d(Layer):
 
     def backward(self, grad_y, ctx, grads):
         h, w = ctx["hw"]
-        return np.broadcast_to(grad_y / (h * w), grad_y.shape[:-2] + (h, w)).astype(
-            grad_y.dtype, copy=False
-        )
+        return np.broadcast_to(grad_y / (h * w), grad_y.shape[:-2] + (h, w))
 
     def out_shape(self, shape):
         c, _, _ = shape
@@ -679,7 +694,7 @@ class Linear(_Weighted):
     def backward(self, grad_y, ctx, grads):
         g = grad_y.reshape(grad_y.shape[0], self.c_out)
         self._add_grads(grads, g.T @ ctx["x"], g.sum(axis=0))
-        return (g @ ctx["w"]).reshape(ctx["x_shape"])
+        return _in_order(g @ ctx["w"], _order(ctx["x"])).reshape(ctx["x_shape"])
 
     def out_shape(self, shape):
         if tuple(shape) not in ((self.c_in,), (self.c_in, 1, 1)):

@@ -1,14 +1,19 @@
 """End-to-end CLI tests: the full features -> train -> prune -> distill ->
 eval -> compare pipeline on a small synthetic dataset."""
 
+import json
 import struct
+import wave
 
 import numpy as np
 import pytest
 
+from qprune.autodiff import OptimState
 from qprune.cli import main
 from qprune.features import (save_dataset, save_feature_file, synth_dataset,
                               write_wav)
+from qprune.models import build_model
+from qprune.nn import save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +486,45 @@ def _config(text):
     return write
 
 
+def _file(name, text):
+    def write(tmp_path):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+def _wav(channels, sample_width):
+    def write(tmp_path):
+        path = tmp_path / "clip.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(channels)
+            fh.setsampwidth(sample_width)
+            fh.setframerate(16000)
+            fh.writeframes(bytes(channels * sample_width * 1600))
+        return str(path)
+    return write
+
+
+def _checkpoint(edit):
+    """A checkpoint with Adam state, its bytes rewritten by edit."""
+    def write(tmp_path):
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=0)
+        path = tmp_path / "edited.qprs"
+        save_checkpoint(model, path, optimizer=OptimState(model, "adam", lr=1e-3))
+        path.write_bytes(edit(path.read_bytes()))
+        return str(path)
+    return write
+
+
+def _negative_slot_shape(raw):
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16 : 16 + hlen])
+    header["optimizer"]["slots"][0]["shape"] = [-1, 4]
+    blob = json.dumps(header, sort_keys=True).encode()
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :]
+
+
 def _eval_csv(**fields):
     def write(tmp_path):
         row = {"model": "m", "method": "op", "p": "0.5", "metric": "accuracy",
@@ -575,6 +619,37 @@ def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
     assert not list(tmp_path.rglob("*.qprs"))
 
 
+# (id, argv after the command's inputs, what the error says): each reaches
+# one raise of an input boundary, and exits 1 with that one line
+BOUNDARY_RAISES = [
+    ("wav_stereo", ["features", "wav", "--input", _wav(2, 2)], "only mono WAV"),
+    ("wav_8_bit", ["features", "wav", "--input", _wav(1, 1)], "only 16-bit PCM WAV"),
+    ("checkpoint_truncated_header",
+     ["eval", "--checkpoint", _checkpoint(lambda raw: raw[:40])], "truncated header"),
+    ("checkpoint_negative_slot_shape",
+     ["eval", "--checkpoint", _checkpoint(_negative_slot_shape)],
+     "negative optimizer slot shape (-1, 4)"),
+    ("plan_ratio_not_one_number",
+     ["distill", "--plan", _file("bad.qplan", "QPLAN 1\nmethod: op\nratio: 0.5 0.25\n"
+                                 "layer 12\nscores: 1 2\nremoved: 0\nend\n")],
+     "QPLAN ratio '0.5 0.25' is not one number"),
+]
+
+
+@pytest.mark.parametrize("argv,says", [case[1:] for case in BOUNDARY_RAISES],
+                         ids=[case[0] for case in BOUNDARY_RAISES])
+def test_boundary_raise_one_line_error(tmp_path, trained, data_dir, argv, says, capsys):
+    inputs = {"eval": ["--checkpoint", str(trained / "model.qprs"), "--data", str(data_dir)],
+              "distill": ["--teacher", str(trained / "model.qprs"), "--data", str(data_dir)],
+              "features": []}
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    capsys.readouterr()
+    assert main([argv[0], *inputs[argv[0]], *argv[1:], "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert says in err, err
+
+
 @pytest.mark.parametrize("command", ["train", "prune", "distill"])
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("by", ["flag", "config"])
@@ -605,6 +680,7 @@ OUT_OF_DOMAIN = [
     ("distill", "val_fraction", "nan"),
     ("train", "target_metric", "nan"), ("train", "target_metric", "inf"),
     ("features", "classes", "1"), ("features", "frames", "6"), ("features", "bins", "0"),
+    ("features", "seed", "-1"), ("train", "seed", "-1"), ("distill", "seed", "-1"),
 ]
 
 
@@ -628,6 +704,17 @@ def test_option_outside_its_domain(tmp_path, capsys, trained, data_dir, command,
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert f"'{value}' is not " in err and out == "", (out, err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("samples", ["2", "0", "-1"])
+def test_fewer_samples_than_classes_makes_no_out(tmp_path, capsys, samples):
+    capsys.readouterr()
+    assert main(["features", "synth", "--samples", samples,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "need one sample per class" in err, err
     assert not (tmp_path / "o").exists()
 
 

@@ -923,6 +923,48 @@ def test_conv_map_layout_follows_the_mode(make):
     np.testing.assert_allclose(y_eval, y_train, rtol=1e-5, atol=1e-5)
 
 
+def _stride_order(a):
+    """a's axes longer than 1, outermost in memory first."""
+    return [i for i in sorted(range(a.ndim), key=lambda i: -a.strides[i]) if a.shape[i] > 1]
+
+
+@pytest.mark.parametrize("name", ["qcnn-mini", "qresnet-mini", "cnn-mini", "maxpool-stack"])
+def test_train_backward_hands_on_the_layout_of_the_forward_input(name):
+    # every layer's input gradient has its forward input's memory layout,
+    # so the elementwise ops and reductions after it run on one layout
+    from qprune.autodiff import backward, cross_entropy, forward, one_hot
+
+    model = _spec_model(name) if name != "maxpool-stack" else ModelGraph([
+        Conv2d(4, 8, (3, 3), padding=1), BatchNorm2d(8), ReLU(), MaxPool2d(2),
+        Conv2d(8, 8, (3, 3), padding=1), ReLU(), MaxPool2d(2, 1), Flatten(),
+        Linear(24, 4)], (4, 8, 4), 4, quaternion=False).init_params(np.random.default_rng(1))
+    seen = {}  # layer -> [forward input's order, input gradient's order]
+    for layer in model.walk():
+        def fwd(x, *args, _layer=layer, _fwd=layer.forward, **kw):
+            seen[_layer] = [_stride_order(x)]
+            return _fwd(x, *args, **kw)
+
+        def bwd(g, ctx, grads, _layer=layer, _bwd=layer.backward):
+            gx = _bwd(g, ctx, grads)
+            seen[_layer].append(None if gx is None else _stride_order(gx))
+            return gx
+
+        layer.forward, layer.backward = fwd, bwd
+    c, h, w = model.input_shape
+    x = np.random.default_rng(3).normal(
+        size=(6, 4, c // 4, h, w) if model.quaternion else (6, c, h, w)).astype(np.float32)
+    z, tape = forward(model, x, mode="train")
+    backward(tape, cross_entropy(z, one_hot(np.arange(6) % 4, 4), tape))
+    first = model.layers[0]
+    assert seen.pop(first)[1] is None  # nothing reads the model input's gradient
+    for layer, (order_x, order_gx) in seen.items():
+        # GlobalAvgPool2d hands on a broadcast view: its spatial strides are
+        # 0, so it has no stride order; the ReLU before it gets the mask's
+        if not isinstance(layer, GlobalAvgPool2d):
+            assert order_gx == order_x, (layer, order_x, order_gx)
+    assert len(seen) == len(list(model.walk())) - 1
+
+
 def test_frozen_snapshot_is_independent_of_the_model():
     from qprune.autodiff import OptimState, cross_entropy, backward, forward, one_hot
     from qprune.nn import freeze
