@@ -288,13 +288,13 @@ def cmd_distill(cfg):
     train_ds, val_ds = _load_data(cfg)
     teacher, _ = nn.load_checkpoint(teacher_path)
     _check_task(train_ds, teacher)
-    out = _out_dir(cfg)
     if cfg["plan"]:
         plan = pruning.load_plan(_require_file(cfg["plan"], "prune plan"))
         student = distill.make_student_from_plan(teacher, plan,
                                                  seed=cfg["seed"])
     else:
         student = models.reinitialize(teacher, cfg["seed"])
+    out = _out_dir(cfg)
     kd_cfg = distill.KDConfig(temperature=cfg["temperature"],
                               alpha=cfg["alpha"],
                               t2_scaling=cfg["t2_scaling"])
@@ -315,9 +315,9 @@ def cmd_distill(cfg):
 
 def cmd_eval(cfg):
     ckpt = _require_file(cfg["checkpoint"], "checkpoint")
-    out = _out_dir(cfg)
     model, _ = nn.load_checkpoint(ckpt)
     ds = features.load_dataset(_require_file(cfg["data"], "dataset directory"))
+    out = _out_dir(cfg)
     value = autodiff.evaluate_metric(model, ds.features, ds.labels, ds.task,
                                      batch_size=cfg["batch_size"])
     rep = metrics.EvalReport(
@@ -341,12 +341,10 @@ def cmd_compare(cfg):
     paths = [p for p in (cfg["inputs"] or "").split(",") if p]
     if not paths:
         raise ConfigError("compare needs --inputs CSV paths")
-    for p in paths:
-        _require_file(p, "eval CSV")
-    out = _out_dir(cfg)
     rows = []
     for p in paths:
-        rows.extend(metrics.read_report_csv(p))
+        rows.extend(metrics.read_report_csv(_require_file(p, "eval CSV")))
+    out = _out_dir(cfg)
     rows.sort(key=lambda r: (r["model"], r["method"], float(r["p"]),
                              r["metric"]))
     with open(out / "compare.csv", "w", newline="") as fh:
@@ -371,12 +369,12 @@ def cmd_features(cfg):
     if cfg["mode"] == "synth" and cfg["samples"] < cfg["classes"]:
         raise ConfigError(f"--samples: {cfg['samples']} is fewer than --classes "
                           f"{cfg['classes']}; need one sample per class")
-    out = _out_dir(cfg)
     if cfg["mode"] == "synth":
         ds = features.synth_dataset(cfg["classes"], cfg["samples"],
                                     seed=cfg["seed"], frames=cfg["frames"],
                                     bins=cfg["bins"],
                                     multilabel=cfg["multilabel"])
+        out = _out_dir(cfg)
         features.save_dataset(ds, out)
         print(f"wrote {len(ds)} synthetic samples "
               f"({ds.num_classes} classes, task={ds.task}) to {out}")
@@ -394,11 +392,13 @@ def cmd_features(cfg):
         wavs = [(w, 0) for w in sorted(src.glob("*.wav"))]
     if not wavs:
         raise ConfigError(f"no .wav files under {src}")
-    for n, (wav_path, _) in enumerate(wavs):
+    encoded = []  # every clip read and encoded before any file is written
+    for wav_path, _ in wavs:
         pcm, rate = features.read_wav(wav_path)
-        mel = features.wav_to_mel(
-            pcm, rate, allow_other_rate=cfg["allow_other_rate"])
-        q = features.encode_quaternion_features(mel)
+        mel = features.wav_to_mel(pcm, rate, allow_other_rate=cfg["allow_other_rate"])
+        encoded.append(features.encode_quaternion_features(mel))
+    out = _out_dir(cfg)
+    for n, q in enumerate(encoded):
         features.save_feature_file(out / features.SAMPLE_FILE.format(n), q)
     features.save_manifest(out, [g for _, g in wavs], max(2, len(class_names)),
                            "single")

@@ -143,13 +143,16 @@ def wav_to_mel(pcm, sample_rate=SAMPLE_RATE, allow_other_rate=False,
 
 def read_wav(path):
     """Load a mono 16-bit PCM WAV file; returns (samples, sample_rate)."""
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1:
-            raise FormatError(f"{path}: only mono WAV is supported")
-        if fh.getsampwidth() != 2:
-            raise FormatError(f"{path}: only 16-bit PCM WAV is supported")
-        rate = fh.getframerate()
-        raw = fh.readframes(fh.getnframes())
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1:
+                raise FormatError(f"{path}: only mono WAV is supported")
+            if fh.getsampwidth() != 2:
+                raise FormatError(f"{path}: only 16-bit PCM WAV is supported")
+            rate = fh.getframerate()
+            raw = fh.readframes(fh.getnframes())
+    except (EOFError, wave.Error) as exc:
+        raise FormatError(f"{path}: not a WAV file ({str(exc) or 'it ends early'})") from None
     return np.frombuffer(raw, dtype="<i2"), rate
 
 

@@ -62,7 +62,7 @@ class EvalReport:
 
 
 def write_report_csv(path, reports):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for rep in reports:
@@ -70,14 +70,17 @@ def write_report_csv(path, reports):
 
 
 def read_report_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty CSV")
-        for col in CSV_COLUMNS:
-            if col not in reader.fieldnames:
-                raise FormatError(f"{path}: missing column {col!r}")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise FormatError(f"{path}: empty CSV")
+            for col in CSV_COLUMNS:
+                if col not in reader.fieldnames:
+                    raise FormatError(f"{path}: missing column {col!r}")
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 CSV") from None
     for i, row in enumerate(rows, start=2):
         for col in ("p", "value", "params", "macs", "time_s"):
             try:

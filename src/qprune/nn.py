@@ -31,6 +31,11 @@ A conv skips the kernel taps that only read padding (``_live_taps``), so
 expansion, weight gradient and fold cover the live taps alone; a dead
 tap's gradient stays 0.0.  ``freeze`` expands each weight whole, once.
 
+A model's store lays each array out as its layer declares (``order``): a
+conv weight with its input channels innermost, as the GEMMs, expansion and
+fold read it, and every other array in C order.  Gradients and Adam's
+moments share that layout; shapes and checkpoint bytes do not change.
+
 Every conv runs one forward, whose GEMM layout follows the mode: a
 train-mode map views channel-major (C, N, H, W) memory, which train-mode
 batch norm reads fastest and sums most accurately, and an eval-mode map,
@@ -101,12 +106,20 @@ def _order(a):  # a map's layout: its axes, outermost in memory first
     return tuple(sorted(range(a.ndim), key=lambda i: -a.strides[i]))
 
 
+# the axes that undo the transpose to a layout (order a tuple)
+_inverse = functools.lru_cache(maxsize=None)(lambda order: tuple(np.argsort(order)))
+
+
 def _in_order(a, order):  # a itself if so laid out, else one transposing copy
-    return np.ascontiguousarray(a.transpose(order)).transpose(np.argsort(order))
+    return np.ascontiguousarray(a.transpose(order)).transpose(_inverse(order))
+
+
+def _laid_out(flat, shape, order):  # flat as an array of shape, laid out as order says
+    return flat.reshape([shape[i] for i in order]).transpose(_inverse(order))
 
 
 def _zeros(shape, dtype, order):  # zeros of shape, laid out as order says
-    return np.zeros([shape[i] for i in order], dtype).transpose(np.argsort(order))
+    return _laid_out(np.zeros(math.prod(shape), dtype), shape, order)
 
 
 def _im2col(x, kh, kw, stride, padding):
@@ -252,6 +265,9 @@ class Layer:
     def init_params(self, rng):
         pass
 
+    def order(self, name, ndim):  # array name's layout in the store: C unless declared
+        return tuple(range(ndim))
+
     def forward(self, x, mode="eval", record=False, update_stats=True):
         raise NotImplementedError
 
@@ -307,6 +323,10 @@ class _Weighted(Layer):
 
     def real_weight(self, taps=()):
         return self.w[(..., *taps)]
+
+    def order(self, name, ndim):  # the weight's input channels innermost, as GEMMs read them
+        c = ndim - 1 - len(self.kernel) if name == self.params()[0][0] else ndim - 1
+        return (*range(c), *range(c + 1, ndim), c)
 
     def real_bias(self):
         return self.b
@@ -588,8 +608,8 @@ class MaxPool2d(_Pool2d):
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
         _, _, (first, *rest) = self._taps(x.shape)
-        y = x[first].copy()
-        arg = np.zeros(y.shape, dtype=np.intp)
+        y = x[first].copy(order="K")  # in x's memory order, as AvgPool2d's
+        arg = np.zeros_like(y, dtype=np.intp)
         for k, tap in enumerate(rest, start=1):
             wins = x[tap] > y
             np.copyto(y, x[tap], where=wins)
@@ -656,11 +676,12 @@ class Flatten(Layer):
 
     def forward(self, x, mode="eval", record=False, update_stats=True):
         y = x.reshape(x.shape[0], -1)
-        ctx = {"x_shape": x.shape} if record else None
+        ctx = {"x_shape": x.shape, "order": _order(x)} if record else None
         return y, ctx
 
     def backward(self, grad_y, ctx, grads):
-        return grad_y.reshape(ctx["x_shape"])
+        # in the layout of the map, which the flat rows may have copied
+        return _in_order(grad_y.reshape(ctx["x_shape"]), ctx["order"])
 
     def out_shape(self, shape):
         n = 1
@@ -811,10 +832,10 @@ class Slots(dict):
     ``layout`` says (see ``ModelGraph``): zeros, or a copy of ``values``."""
 
     def __init__(self, layout, values=None):
-        ends = {dt: start + math.prod(shape) for _, dt, start, shape in layout}
+        ends = {dt: start + math.prod(shape) for _, dt, start, shape, _ in layout}
         self.layout, self.flat = layout, {dt: np.zeros(n, dt) for dt, n in ends.items()}
-        for key, dt, start, shape in layout:
-            self[key] = self.flat[dt][start : start + math.prod(shape)].reshape(shape)
+        for key, dt, start, shape, order in layout:
+            self[key] = _laid_out(self.flat[dt][start : start + math.prod(shape)], shape, order)
             if values is not None:
                 if np.shape(values[key]) != shape:
                     raise ShapeError(f"{key}: shape {np.shape(values[key])} != {shape}")
@@ -829,8 +850,8 @@ class ModelGraph:
     ``prunable`` holds the default target layer indices for filter pruning.
 
     ``store`` holds, per dtype, one flat array of every parameter and then
-    every buffer of that dtype, each layer array a view of it; ``layout``
-    lists ((lid, name), dtype, start, shape) of the parameters.
+    every buffer of that dtype, each array a view of it in ``Layer.order``;
+    ``layout`` lists ((lid, name), dtype, start, shape, order) of parameters.
     ``sync_store`` rebuilds the store once an array was replaced (by
     ``astype``, surgery or a plain attribute assignment).
     """
@@ -857,8 +878,9 @@ class ModelGraph:
     def _build_store(self):
         n, arrays = len(self.all_params()), self.all_params() + self.all_buffers()
         ends, layout = {}, []
-        for lid, _, name, arr in arrays:
-            layout.append(((lid, name), arr.dtype, ends.get(arr.dtype, 0), arr.shape))
+        for lid, layer, name, arr in arrays:
+            layout.append(((lid, name), arr.dtype, ends.get(arr.dtype, 0), arr.shape,
+                           layer.order(name, arr.ndim)))
             ends[arr.dtype] = layout[-1][2] + arr.size
         store = Slots(layout, {(lid, name): arr for lid, _, name, arr in arrays})
         for (_, layer, name, _), view in zip(arrays, store.values()):
@@ -969,8 +991,8 @@ def _frozen(layer, bn):
     """A real Conv2d or Linear on the channel axes of a conv or linear layer,
     holding read-only copies of its real weight and bias, with the eval-mode
     BN bn, if given, folded into the weight rows and bias (w*s,
-    (b-mu)*s+beta, s = gamma/sqrt(var+eps)).  The weight is stored with its
-    input channels innermost, the order of an _im2col row."""
+    (b-mu)*s+beta, s = gamma/sqrt(var+eps)).  The weight keeps the layout
+    of the model's store, input channels innermost, as an _im2col row."""
     w, b = layer.real_weight(), layer.real_bias()
     s = np.ones(layer.c_out, w.dtype)
     if bn is not None:
@@ -983,8 +1005,7 @@ def _frozen(layer, bn):
     frozen = real.from_spec({**layer.spec(), "c_in": layer.c_in, "c_out": layer.c_out,
                              "bias": b is not None})
     frozen.quaternion = layer.quaternion
-    w = np.moveaxis(w, 1, -1) * s.reshape((-1,) + (1,) * (w.ndim - 1))
-    frozen.w = _read_only(np.moveaxis(w, -1, 1))
+    frozen.w = _read_only(w * s.reshape((-1,) + (1,) * (w.ndim - 1)))
     frozen.b = None if b is None else _read_only(b.copy())
     return frozen
 

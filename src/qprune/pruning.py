@@ -36,8 +36,8 @@ METHODS = ("l1", "gm", "op")
 
 
 def l1_importance(layer: QConv2d):
-    """Per-filter importance: sum of |w| over all four kernel banks."""
-    return np.abs(np.asarray(layer.weights, dtype=np.float64)).sum(axis=(0, 2, 3, 4))
+    """Per-filter sum of |w| over all four kernel banks, summed in C order."""
+    return np.abs(np.array(layer.weights, np.float64, order="C")).sum(axis=(0, 2, 3, 4))
 
 
 def geometric_median(points, tol=1e-8, max_iter=1000):

@@ -494,6 +494,14 @@ def _file(name, text):
     return write
 
 
+def _bytes(name, raw):
+    def write(tmp_path):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        return str(path)
+    return write
+
+
 def _wav(channels, sample_width):
     def write(tmp_path):
         path = tmp_path / "clip.wav"
@@ -563,6 +571,8 @@ MALFORMED = [
     ("config_bad_number", ["train", "--config", _config("lr=fast\n")], None, 2),
     ("prune_layers_not_integers", ["prune", "--layers", "x"], None, 2),
     ("compare_without_inputs", ["compare"], None, 2),
+    ("wav_missing", ["features", "wav", "--input", lambda tmp: str(tmp / "missing.wav")],
+     None, 2),
     ("compare_p_not_number", ["compare", "--inputs", _eval_csv(p="x")], None, 1),
     ("compare_macs_not_number", ["compare", "--inputs", _eval_csv(macs="")],
      None, 1),
@@ -617,6 +627,7 @@ def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.rglob("*.qprs"))
+    assert not (tmp_path / "o").exists()
 
 
 # (id, argv after the command's inputs, what the error says): each reaches
@@ -633,6 +644,12 @@ BOUNDARY_RAISES = [
      ["distill", "--plan", _file("bad.qplan", "QPLAN 1\nmethod: op\nratio: 0.5 0.25\n"
                                  "layer 12\nscores: 1 2\nremoved: 0\nend\n")],
      "QPLAN ratio '0.5 0.25' is not one number"),
+    ("csv_not_utf8", ["compare", "--inputs", _bytes("eval.csv", b"model,p\n\xff\xfe,0\n")],
+     "eval.csv: not a UTF-8 CSV"),
+    ("wav_riff_only", ["features", "wav", "--input", _bytes("clip.wav", b"RIFF")],
+     "clip.wav: not a WAV file"),
+    ("wav_not_riff", ["features", "wav", "--input", _bytes("clip.wav", bytes(range(100)))],
+     "clip.wav: not a WAV file"),
 ]
 
 
@@ -641,13 +658,14 @@ BOUNDARY_RAISES = [
 def test_boundary_raise_one_line_error(tmp_path, trained, data_dir, argv, says, capsys):
     inputs = {"eval": ["--checkpoint", str(trained / "model.qprs"), "--data", str(data_dir)],
               "distill": ["--teacher", str(trained / "model.qprs"), "--data", str(data_dir)],
-              "features": []}
+              "features": [], "compare": []}
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     capsys.readouterr()
     assert main([argv[0], *inputs[argv[0]], *argv[1:], "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert says in err, err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "prune", "distill"])

@@ -965,6 +965,26 @@ def test_train_backward_hands_on_the_layout_of_the_forward_input(name):
     assert len(seen) == len(list(model.walk())) - 1
 
 
+@pytest.mark.parametrize("window,stride", [(2, None), (2, 1), (3, 2)])
+def test_maxpool_keeps_a_channel_major_input_layout(window, stride):
+    # a train-mode map is a (C, N, H, W) view: the pooled map keeps that
+    # order, with the values and gradients of the C-order input's
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(5, 3, 7, 6)).astype(np.float32)
+    x_major = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    pool = MaxPool2d(window, stride)
+    y, ctx = pool.forward(x, record=True)
+    y_major, ctx_major = pool.forward(x_major, record=True)
+    assert _stride_order(y_major) == _stride_order(x_major) == [1, 0, 2, 3]
+    np.testing.assert_array_equal(y_major, y)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    g_major = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    gx = pool.backward(g, ctx, {})
+    gx_major = pool.backward(g_major, ctx_major, {})
+    assert _stride_order(gx_major) == [1, 0, 2, 3]
+    np.testing.assert_array_equal(gx_major, gx)
+
+
 def test_frozen_snapshot_is_independent_of_the_model():
     from qprune.autodiff import OptimState, cross_entropy, backward, forward, one_hot
     from qprune.nn import freeze

@@ -2,7 +2,9 @@
 view of one array per dtype, which gradients and Adam's moments mirror."""
 
 import copy
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +22,15 @@ from qprune.autodiff import (
 )
 from qprune.exceptions import ShapeError
 from qprune.models import build_model
-from qprune.nn import Flatten, Linear, ModelGraph, load_checkpoint, save_checkpoint
+from qprune.nn import (
+    Conv2d,
+    Flatten,
+    Linear,
+    ModelGraph,
+    load_checkpoint,
+    model_input,
+    save_checkpoint,
+)
 from qprune.pruning import apply_prune, build_prune_plan
 
 
@@ -171,3 +181,62 @@ def test_a_changed_layout_is_refused_by_adam():
              (layer.lid, "b"): np.ones(3, np.float32)}
     with pytest.raises(ShapeError, match="changed since the optimizer was built"):
         step(opt, grads)
+
+
+def saved_and_loaded(model, tmp_path):
+    save_checkpoint(model, tmp_path / "m.qprs")
+    return load_checkpoint(tmp_path / "m.qprs")[0]
+
+
+MADE = {
+    "build": lambda model, tmp_path: model,
+    "clone": lambda model, tmp_path: model.clone(),
+    "astype": lambda model, tmp_path: model.astype(np.float64),
+    "apply_prune": lambda model, tmp_path: apply_prune(
+        model, build_prune_plan(model, "l1", 0.5)),
+    "load_checkpoint": saved_and_loaded,
+}
+
+
+@pytest.mark.parametrize("spec,how", [
+    (spec, how) for spec in ("qcnn-mini", "qresnet-mini", "cnn-mini") for how in MADE
+    if (spec, how) != ("cnn-mini", "apply_prune")])  # l1 scores quaternion convs only
+def test_conv_weights_store_input_channels_innermost(tmp_path, spec, how):
+    # every conv weight, its gradient slot and Adam's m and v are laid out
+    # (O, kh, kw, C), banks (4, q_out, kh, kw, q_in), as the GEMMs read
+    # them; every other array is C order
+    model = MADE[how](build_model(spec, 3, (4, 16, 16), seed=0), tmp_path)
+    x, y = batch(model)
+    x = model_input(model, x).astype(next(iter(model.store)))
+    z, tape = forward(model, x, mode="train")
+    grads = backward(tape, cross_entropy(z, one_hot(y, 3), tape))
+    opt = OptimState(model, "adam", 1e-3)
+    weights = {(l.lid, l.params()[0][0]) for l in model.walk() if isinstance(l, Conv2d)}
+    strided = 0
+    for lid, _, name, arr in model.all_params():
+        for a in (arr, grads[(lid, name)], opt.m[(lid, name)], opt.v[(lid, name)]):
+            if (lid, name) in weights:
+                assert np.moveaxis(a, -3, -1).flags.c_contiguous, (lid, name, a.strides)
+                strided += not a.flags.c_contiguous
+            else:
+                assert a.flags.c_contiguous, (lid, name, a.strides)
+    assert strided  # the rule is not met by shapes alone
+    opt.step(grads)
+    assert_stored(model)
+
+
+def test_checkpoint_payload_is_the_c_order_bytes_of_each_array(tmp_path):
+    model = small_qcnn()
+    x, y = batch(model)
+    opt = OptimState(model, "adam", 1e-3)
+    z, tape = forward(model, x, mode="train")
+    opt.step(backward(tape, cross_entropy(z, one_hot(y, 3), tape)))
+    assert not model.layers[4].weights.flags.c_contiguous
+    save_checkpoint(model, tmp_path / "m.qprs", optimizer=opt)
+    raw = (tmp_path / "m.qprs").read_bytes()
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16 : 16 + hlen])
+    arrays = {(lid, name): arr for lid, _, name, arr in model.all_params() + model.all_buffers()}
+    logical = [arrays[(e["lid"], e["name"])] for e in header["payload"]]
+    logical += [*opt.m.values(), *opt.v.values()]
+    assert raw[16 + hlen :] == b"".join(a.astype("<f4").tobytes(order="C") for a in logical)
