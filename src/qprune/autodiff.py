@@ -11,12 +11,16 @@ rather than a scalar graph.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError, ShapeError
-from .nn import ModelGraph, Slots, _backprop_layers, _run_layers, freeze, model_input
+from .nn import (Linear, ModelGraph, Slots, _backprop_layers, _run_layers, freeze,
+                 model_input)
 
 
 class Tape:
@@ -322,12 +326,103 @@ def _check_batch_size(batch_size):
         raise ConfigError(f"batch size must be positive, got {batch_size}")
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set, stop) for numpy's bundled OpenBLAS, found once through
+    ctypes, or None (another BLAS, or none bundled): get and set its thread
+    count, and stop its thread pool (None if not exported), which it starts
+    again when the count is next set or a call runs on more than 1 thread."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root, "..", "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if stop:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                return get, put, stop
+    return None
+
+
+_worker = None  # the thread that runs the second half of each split eval batch
+
+if hasattr(os, "register_at_fork"):  # a forked child has no such thread
+    os.register_at_fork(after_in_child=lambda: globals().update(_worker=None))
+
+# The batch sizes whose batches are split.  OpenBLAS picks its sgemm kernel
+# by matrix size, and a row's result depends on the kernel.  Halves of 8 to
+# 32 samples keep every conv GEMM of the built-in specs in the size class of
+# the whole batch's; a batch of more than 64 leaves short row blocks in the
+# whole batch's conv GEMMs (see nn._EVAL_GEMM_ROWS).  The linear head, one
+# column per class, would change class with the batch, so it runs whole.
+_SPLIT_BATCHES = range(16, 65)
+
+
 def _eval_logits(model, features, batch_size):
-    """(start, logits) per batch, from one frozen snapshot of the model."""
+    """[(start, logits)] per batch, from one frozen snapshot of the model.
+
+    When numpy's OpenBLAS runs 2 or more threads, the process may use 2
+    CPUs and the batch size is in _SPLIT_BATCHES, BLAS is set to 1 thread,
+    its thread pool stopped, and each batch cut in two up to its first
+    linear layer: the caller
+    runs the first halves and one persistent worker thread the second
+    ones, and the caller runs the rest on the joined batch.  The thread
+    count is restored once every half has finished.  The logits equal the
+    serial ones bit for bit.  Not reentrant across threads.
+    """
+    global _worker
     _check_batch_size(batch_size)
     frozen = freeze(model)
-    for start in range(0, features.shape[0], batch_size):
-        yield start, frozen(model_input(model, features[start : start + batch_size]))
+    n = features.shape[0]
+    starts = range(0, n, batch_size)
+    blas = _blas_threads()
+    threads = blas[0]() if blas else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if batch_size not in _SPLIT_BATCHES or threads < 2 or (cpus or 1) < 2:
+        return [(s, frozen(model_input(model, features[s : s + batch_size]))) for s in starts]
+
+    k = next((i for i, layer in enumerate(frozen.layers) if isinstance(layer, Linear)),
+             len(frozen.layers))
+    body, head = frozen.layers[:k], frozen.layers[k:]
+
+    def run(lo, hi):
+        return _run_layers(body, model_input(model, features[lo:hi]))[0]
+
+    def finish(s, first, second):
+        h = first if second is None else np.concatenate((first, second.result()))
+        return s, _run_layers(head, h)[0]
+
+    if _worker is None:
+        _worker = ThreadPoolExecutor(1, thread_name_prefix="qprune-eval")
+    _, put, stop = blas
+    out, queued, halves = [], [], []
+    put(1)
+    if stop:  # else its idle thread spins on a core for ~0.1 s after a parallel call
+        stop()
+    try:
+        for s in starts:
+            end = min(s + batch_size, n)
+            mid = (s + end + 1) // 2 if end - s >= _SPLIT_BATCHES.start else end
+            halves.append(_worker.submit(run, mid, end) if mid < end else None)
+            queued.append((s, run(s, mid), halves[-1]))
+            model.forward_count += 1
+            if len(queued) == 2:  # the older batch's second half has had a half's time
+                out.append(finish(*queued.pop(0)))
+        return out + [finish(*q) for q in queued]
+    finally:
+        wait([f for f in halves if f is not None and not f.cancel()])
+        put(threads)
 
 
 def evaluate_accuracy(model, features, labels, batch_size=64):

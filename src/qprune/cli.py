@@ -205,6 +205,12 @@ def _check_task(ds, model):
                           f"{model.task}")
 
 
+def _input_shape(ds):
+    """A model's (real channels, H, W) input for the dataset's features."""
+    shape = ds.features.shape[2:]
+    return (4 * shape[0],) + shape[1:]
+
+
 def _train_config(cfg, **command_fields):
     return autodiff.TrainConfig(
         lr=cfg["lr"], batch_size=cfg["batch_size"],
@@ -219,10 +225,8 @@ def _train_config(cfg, **command_fields):
 def cmd_train(cfg):
     train_ds, val_ds = _load_data(cfg)
     out = _out_dir(cfg)
-    sample_shape = train_ds.features.shape[2:]
-    input_shape = (4 * sample_shape[0],) + sample_shape[1:]
     model = models.build_model(cfg["model"], train_ds.num_classes,
-                               input_shape, seed=cfg["seed"],
+                               _input_shape(train_ds), seed=cfg["seed"],
                                task=train_ds.task)
     rows = []
     tc = _train_config(cfg, iterations=cfg["iterations"],
@@ -317,6 +321,7 @@ def cmd_eval(cfg):
     ckpt = _require_file(cfg["checkpoint"], "checkpoint")
     model, _ = nn.load_checkpoint(ckpt)
     ds = features.load_dataset(_require_file(cfg["data"], "dataset directory"))
+    _check_task(ds, model)
     out = _out_dir(cfg)
     value = autodiff.evaluate_metric(model, ds.features, ds.labels, ds.task,
                                      batch_size=cfg["batch_size"])
@@ -324,7 +329,7 @@ def cmd_eval(cfg):
         model=model.name or "model", method=cfg["method"], p=cfg["ratio"],
         metric="mAP" if ds.task == "multi" else "accuracy",
         value=value, params=metrics.count_params(model),
-        macs=metrics.count_macs(model),
+        macs=metrics.count_macs(model, _input_shape(ds)),
     )
     if cfg["time_repeats"]:
         batch = nn.model_input(model, ds.features[: min(8, len(ds))]).astype(

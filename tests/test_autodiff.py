@@ -1,6 +1,8 @@
 """Forward/backward machinery, losses, optimizers, and gradient checks."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     toy_residual_model,
 )
 
+from qprune import autodiff
 from qprune.autodiff import (
     Loss,
     OptimState,
@@ -30,7 +33,7 @@ from qprune.autodiff import (
     train_loop,
 )
 from qprune.exceptions import ConfigError, DivergenceError, ShapeError
-from qprune.nn import Flatten, Linear, ModelGraph
+from qprune.nn import Flatten, Linear, ModelGraph, freeze, model_input
 
 
 def identity_linear_model(n):
@@ -504,3 +507,122 @@ class TestTrainLoop:
         result = train_loop(model, feats, labels, cfg)
         assert model.forward_count == 4
         assert math.isnan(result.best_metric)
+
+
+# ---------------------------------------------------------------------------
+# evaluation split between the caller and one worker
+# ---------------------------------------------------------------------------
+
+SPECS = ["qcnn-mini", "qcnn-mini-p50", "qresnet-mini", "cnn-mini"]
+EVAL_FEATURES = np.random.default_rng(4).normal(size=(70, 4, 1, 32, 16)).astype(np.float32)
+
+
+def _spec_model(name):
+    from qprune.models import build_model
+    from qprune.pruning import apply_prune, build_prune_plan
+
+    model = build_model(name.removesuffix("-p50"), 4, (4, 32, 16), seed=1)
+    if name.endswith("-p50"):
+        model = apply_prune(model, build_prune_plan(model, "op", 0.5))
+    inference(model, model_input(model, EVAL_FEATURES[:64]), mode="train")  # BN stats
+    return model
+
+
+def _serial_logits(model, batch_size):
+    frozen = freeze(model)
+    return [(s, frozen(model_input(model, EVAL_FEATURES[s : s + batch_size])))
+            for s in range(0, len(EVAL_FEATURES), batch_size)]
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Puts _eval_logits on its split path: numpy's OpenBLAS, where found,
+    else a stand-in control, runs 2 threads and 2 CPUs are reported.
+    Yields the control and a list of (ran on the worker, rows), one entry
+    per layer-stack run of _eval_logits' split path."""
+    control = autodiff._blas_threads()
+    if control is None:
+        count = [1]
+        control = (lambda: count[0], lambda k: count.__setitem__(0, k), None)
+    before = control[0]()
+    control[1](2)
+    monkeypatch.setattr(autodiff, "_blas_threads", lambda: control)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    halves, caller, run = [], threading.get_ident(), autodiff._run_layers
+
+    def spy(layers, x, *args, **kwargs):
+        halves.append((threading.get_ident() != caller, x.shape[0]))
+        return run(layers, x, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "_run_layers", spy)
+    yield control, halves
+    control[1](before)
+
+
+def _assert_same(got, want):
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 64, 53])  # 53: odd halves, last 17
+@pytest.mark.parametrize("name", SPECS)
+def test_split_logits_are_the_serial_frozen_logits(split, name, batch_size):
+    model = _spec_model(name)
+    control, halves = split
+    halves.clear()
+    got = autodiff._eval_logits(model, EVAL_FEATURES, batch_size)
+    assert control[0]() == 2
+    _assert_same(got, _serial_logits(model, batch_size))
+    sizes = [len(EVAL_FEATURES[s : s + batch_size]) for s in range(0, 70, batch_size)]
+    cut = batch_size in autodiff._SPLIT_BATCHES  # and a batch of fewer than 16 runs whole
+    assert sum(rows for worker, rows in halves if worker) == sum(
+        size // 2 for size in sizes if cut and size >= 16)
+
+
+@pytest.mark.parametrize("how", ["no control", "one blas thread", "one cpu"])
+@pytest.mark.parametrize("name", SPECS)
+def test_serial_path_gives_the_same_logits(split, monkeypatch, name, how):
+    model = _spec_model(name)
+    control, halves = split
+    want = autodiff._eval_logits(model, EVAL_FEATURES, 53)
+    assert halves
+    halves.clear()
+    if how == "no control":
+        monkeypatch.setattr(autodiff, "_blas_threads", lambda: None)
+    elif how == "one blas thread":
+        control[1](1)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 53), want)
+    assert not halves
+
+
+@pytest.mark.parametrize("batch_size", [1, 16, 23, 64, 70, 500])
+def test_split_counts_one_forward_per_batch(split, batch_size):
+    model = _spec_model("qcnn-mini")
+    model.forward_count = 0
+    autodiff.evaluate_accuracy(model, EVAL_FEATURES, np.zeros(70, int), batch_size)
+    assert model.forward_count == -(-70 // batch_size)
+
+
+@pytest.mark.parametrize("on", ["worker", "caller"])
+def test_a_raising_layer_restores_the_blas_threads(split, monkeypatch, on):
+    model = _spec_model("qcnn-mini")
+    control, _ = split
+    spy, caller, runs = autodiff._run_layers, threading.get_ident(), []
+
+    def fail_third_run(layers, x, *args, **kwargs):
+        if (threading.get_ident() != caller) == (on == "worker"):
+            runs.append(len(x))
+            if len(runs) == 3:
+                raise RuntimeError("a layer failed")
+        return spy(layers, x, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "_run_layers", fail_third_run)
+    with pytest.raises(RuntimeError, match="a layer failed"):
+        autodiff._eval_logits(model, EVAL_FEATURES, 16)
+    assert control[0]() == 2
+    monkeypatch.setattr(autodiff, "_run_layers", spy)  # the worker still serves
+    _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 16), _serial_logits(model, 16))

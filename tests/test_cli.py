@@ -287,6 +287,18 @@ class TestEvalCompareCommands:
         row = read_report_csv(out / "eval.csv")[0]
         assert int(row["params"]) == count_params(model)
 
+    def test_eval_counts_the_macs_of_the_data_it_evaluates(self, tmp_path, trained):
+        from qprune.metrics import count_macs, read_report_csv
+        from qprune.nn import load_checkpoint
+
+        model, _ = load_checkpoint(trained / "model.qprs")  # trained on 16 frames
+        data = tmp_path / "long"
+        save_dataset(synth_dataset(3, 6, seed=0, frames=32, bins=16), data)
+        assert main(["eval", "--checkpoint", str(trained / "model.qprs"),
+                     "--data", str(data), "--out", str(tmp_path / "ev")]) == 0
+        macs = int(read_report_csv(tmp_path / "ev" / "eval.csv")[0]["macs"])
+        assert macs == count_macs(model, (4, 32, 16)) != count_macs(model)
+
     def test_eval_multilabel_reports_map(self, tmp_path):
         data = tmp_path / "mdata"
         assert main(["features", "synth", "--classes", "3", "--samples", "18",
@@ -601,6 +613,7 @@ MALFORMED = [
      _edit("dataset.txt", "task=single", "task=multi"), 2),
     ("prune_finetune_multi_label", ["prune", "--finetune-iterations", "1"],
      _edit("dataset.txt", "task=single", "task=multi"), 2),
+    ("eval_multi_label", ["eval"], _edit("dataset.txt", "task=single", "task=multi"), 2),
 ]
 
 
