@@ -14,7 +14,6 @@ flag.  Command-line flags override file values.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -22,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff, distill, features, metrics, models, nn, pruning
-from .exceptions import ConfigError, QPruneError
+from ._files import _read_text, _write
+from .exceptions import ConfigError, FormatError, QPruneError
 
 
 class Opt(NamedTuple):
@@ -135,7 +135,7 @@ def _parse_config_file(path, table):
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, "config file", ConfigError).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -191,12 +191,11 @@ def _load_data(cfg):
     return train_ds, val_ds
 
 
-def _write_train_log(path, rows):
-    lines = ["iteration,loss,metric"]
-    for it, loss, metric in rows:
-        metric_s = "" if metric is None else f"{metric:.9g}"
-        lines.append(f"{it},{loss:.9g},{metric_s}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_log(path, columns, rows):
+    """A training log: the iteration, then each value to .9g, None empty."""
+    cell = lambda v: "" if v is None else f"{v:.9g}"
+    lines = [columns] + [",".join([str(it), *map(cell, values)]) for it, *values in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _check_task(ds, model):
@@ -237,7 +236,7 @@ def cmd_train(cfg):
                         val_labels=None if val_ds is None else val_ds.labels,
                         log_rows=rows)
     nn.save_checkpoint(model, out / "model.qprs")
-    _write_train_log(out / "train_log.csv", rows)
+    _write_log(out / "train_log.csv", "iteration,loss,metric", rows)
     final_metric = next((m for _, _, m in reversed(rows) if m is not None),
                         float("nan"))
     print(f"trained {cfg['model']}: final metric {final_metric:.4f} "
@@ -272,7 +271,7 @@ def cmd_prune(cfg):
     report = (f"model={model.name or 'model'} method={cfg['method']} "
               f"p={cfg['ratio']:g} params {before[0]} -> {after[0]} "
               f"macs {before[1]} -> {after[1]}\n")
-    (out / "prune_report.txt").write_text(report)
+    _write(out / "prune_report.txt", report)
     print(report.strip())
 
     if cfg["finetune_iterations"]:
@@ -281,7 +280,7 @@ def cmd_prune(cfg):
         tuned = pruning.finetune(pruned, train_ds, tc, val_dataset=val_ds,
                                  log_rows=rows)
         nn.save_checkpoint(tuned, out / "finetuned.qprs")
-        _write_train_log(out / "finetune_log.csv", rows)
+        _write_log(out / "finetune_log.csv", "iteration,loss,metric", rows)
         print(f"fine-tuned {cfg['finetune_iterations']} iterations "
               f"-> {out / 'finetuned.qprs'}")
     return 0
@@ -308,10 +307,7 @@ def cmd_distill(cfg):
     distill.distill_train(teacher, student, train_ds, kd_cfg, tc,
                           val_dataset=val_ds, log_rows=kd_rows)
     nn.save_checkpoint(student, out / "student.qprs")
-    lines = ["iteration,ce,kl,total"]
-    for it, ce, kl, total in kd_rows:
-        lines.append(f"{it},{ce:.9g},{kl:.9g},{total:.9g}")
-    (out / "distill_log.csv").write_text("\n".join(lines) + "\n")
+    _write_log(out / "distill_log.csv", "iteration,ce,kl,total", kd_rows)
     print(f"distilled student ({metrics.count_params(student)} params) "
           f"-> {out / 'student.qprs'}")
     return 0
@@ -337,7 +333,7 @@ def cmd_eval(cfg):
         rep.time_s = metrics.timed_inference(model, batch,
                                              repeats=cfg["time_repeats"])
     metrics.write_report_csv(out / "eval.csv", [rep])
-    (out / "eval.txt").write_text(rep.to_text())
+    _write(out / "eval.txt", rep.to_text())
     print(rep.to_text().strip())
     return 0
 
@@ -352,11 +348,7 @@ def cmd_compare(cfg):
     out = _out_dir(cfg)
     rows.sort(key=lambda r: (r["model"], r["method"], float(r["p"]),
                              r["metric"]))
-    with open(out / "compare.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=metrics.CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows({k: r.get(k, "") for k in metrics.CSV_COLUMNS}
-                         for r in rows)
+    metrics.write_report_csv(out / "compare.csv", rows)
     widths = {k: max(len(k), *(len(str(r.get(k, ""))) for r in rows))
               for k in metrics.CSV_COLUMNS}
     header = "  ".join(k.ljust(widths[k]) for k in metrics.CSV_COLUMNS)
@@ -364,7 +356,7 @@ def cmd_compare(cfg):
     for r in rows:
         lines.append("  ".join(str(r.get(k, "")).ljust(widths[k])
                                for k in metrics.CSV_COLUMNS))
-    (out / "compare.txt").write_text("\n".join(lines) + "\n")
+    _write(out / "compare.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
@@ -401,14 +393,15 @@ def cmd_features(cfg):
     for wav_path, _ in wavs:
         pcm, rate = features.read_wav(wav_path)
         mel = features.wav_to_mel(pcm, rate, allow_other_rate=cfg["allow_other_rate"])
-        encoded.append(features.encode_quaternion_features(mel))
+        encoded.append(features.encode_quaternion_features(mel).data)
+        if encoded[-1].shape != encoded[0].shape:
+            raise FormatError(f"{wav_path}: {encoded[-1].shape} features, but {wavs[0][0]} "
+                              f"has {encoded[0].shape}; clips must have one length")
     out = _out_dir(cfg)
-    for n, q in enumerate(encoded):
-        features.save_feature_file(out / features.SAMPLE_FILE.format(n), q)
-    features.save_manifest(out, [g for _, g in wavs], max(2, len(class_names)),
-                           "single")
+    features.save_dataset(features.LabeledDataset(
+        np.stack(encoded), np.array([g for _, g in wavs]), max(2, len(class_names))), out)
     if class_names:
-        (out / "classes.txt").write_text("\n".join(class_names) + "\n")
+        _write(out / "classes.txt", "\n".join(class_names) + "\n")
     print(f"encoded {len(wavs)} clips to {out}")
     return 0
 

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._files import _read_text, _write
 from .exceptions import ConfigError, FormatError, ShapeError, TruncationError
 from .quaternion import QTensor
 
@@ -254,8 +255,7 @@ def save_feature_file(path, obj):
     arr = np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])
     header = struct.pack(f"<4sIIQ{arr.ndim}Q", FEATURE_MAGIC, FEATURE_VERSION,
                          code, arr.ndim, *arr.shape)
-    with open(path, "wb") as fh:
-        fh.write(header + arr.tobytes())
+    _write(path, [header, arr])
 
 
 def _read_feature_array(path):
@@ -418,8 +418,8 @@ def save_manifest(out_dir, labels, num_classes, task):
         else:
             label = int(label)
         lines.append(f"{SAMPLE_FILE.format(n)},{label}")
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
-    (out / "dataset.txt").write_text(f"num_classes={num_classes}\ntask={task}\n")
+    _write(out / "manifest.csv", "\n".join(lines) + "\n")
+    _write(out / "dataset.txt", f"num_classes={num_classes}\ntask={task}\n")
 
 
 def save_dataset(ds: LabeledDataset, out_dir):
@@ -440,11 +440,11 @@ def load_dataset(data_dir) -> LabeledDataset:
     meta = {}
     meta_file = root / "dataset.txt"
     if meta_file.is_file():
-        for line in meta_file.read_text().splitlines():
+        for line in _read_text(meta_file, "dataset description").splitlines():
             if "=" in line:
                 k, v = line.split("=", 1)
                 meta[k.strip()] = v.strip()
-    lines = manifest.read_text().splitlines()
+    lines = _read_text(manifest, "manifest").splitlines()
     if not lines or lines[0].strip() != "file,label":
         raise FormatError(f"{manifest}: expected 'file,label' header")
     entries = []  # (manifest line number, file name, label text)

@@ -13,6 +13,7 @@ Activations, pooling, and normalization count as zero MACs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 import warnings
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import _read_text, _write
 from .exceptions import ConfigError, FormatError, ShapeError, UndefinedMetricError
 from .nn import Conv2d, Linear, ModelGraph, ResidualBlock, freeze
 
@@ -62,25 +64,24 @@ class EvalReport:
 
 
 def write_report_csv(path, reports):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for rep in reports:
-            writer.writerow(rep.row())
+    """EvalReports, or read_report_csv rows, under CSV_COLUMNS; gaps empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    for rep in reports:
+        row = rep.row() if isinstance(rep, EvalReport) else rep
+        writer.writerow(row.get(k, "") for k in CSV_COLUMNS)
+    _write(path, buf.getvalue())
 
 
 def read_report_csv(path):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise FormatError(f"{path}: empty CSV")
-            for col in CSV_COLUMNS:
-                if col not in reader.fieldnames:
-                    raise FormatError(f"{path}: missing column {col!r}")
-            rows = list(reader)
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a UTF-8 CSV") from None
+    reader = csv.DictReader(io.StringIO(_read_text(path, "CSV"), newline=""))
+    if reader.fieldnames is None:
+        raise FormatError(f"{path}: empty CSV")
+    for col in CSV_COLUMNS:
+        if col not in reader.fieldnames:
+            raise FormatError(f"{path}: missing column {col!r}")
+    rows = list(reader)
     for i, row in enumerate(rows, start=2):
         for col in ("p", "value", "params", "macs", "time_s"):
             try:

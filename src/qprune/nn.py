@@ -51,12 +51,14 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 import json
 import math
 import struct
 
 import numpy as np
 
+from ._files import _write
 from .exceptions import (
     ConfigError,
     ConversionError,
@@ -1179,23 +1181,14 @@ def save_checkpoint(model: ModelGraph, path, optimizer=None):
             {"lid": layer.lid, "name": name, "shape": list(arr.shape)}
             for layer, name, arr in _payload_arrays(model)
         ],
-        "optimizer": None,
+        "optimizer": None if optimizer is None else optimizer.state_meta(),
     }
-    opt_arrays = []
-    if optimizer is not None:
-        meta = optimizer.state_meta()
-        header["optimizer"] = meta
-        opt_arrays = optimizer.state_arrays()
+    arrays = [arr for *_, arr in _payload_arrays(model)]
+    arrays += [] if optimizer is None else optimizer.state_arrays()
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, _, arr in _payload_arrays(model):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        for arr in opt_arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    head = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)) + blob
+    _write(path, itertools.chain([head], (np.ascontiguousarray(arr, dtype="<f4")
+                                          for arr in arrays)))
 
 
 def load_checkpoint(path):

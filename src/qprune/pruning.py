@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import _read_text, _write
 from .autodiff import TrainConfig, train_loop
 from .exceptions import (
     DegenerateLayerError,
@@ -293,17 +294,11 @@ def plan_from_text(text: str) -> PrunePlan:
 
 
 def save_plan(plan: PrunePlan, path):
-    with open(path, "w") as fh:
-        fh.write(plan_to_text(plan))
+    _write(path, plan_to_text(plan))
 
 
 def load_plan(path) -> PrunePlan:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a QPLAN document") from None
-    return plan_from_text(text)
+    return plan_from_text(_read_text(path, "QPLAN document"))
 
 
 # ---------------------------------------------------------------------------

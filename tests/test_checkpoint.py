@@ -147,6 +147,31 @@ class TestCheckpointErrors:
                 save_checkpoint(bad, path)
             assert not path.exists()
 
+    def test_a_save_interrupted_mid_payload_leaves_the_old_file_or_none(self, tmp_path):
+        class Interrupted(BaseException):  # as a signal would, past `except Exception`
+            pass
+
+        class Slot:  # an optimizer slot whose bytes cannot be produced
+            def __array__(self, dtype=None, copy=None):
+                raise Interrupted
+
+        class Optimizer:
+            def state_meta(self):
+                return {}
+
+            def state_arrays(self):
+                return [np.zeros(3, np.float32), Slot()]
+
+        model = build_model("qcnn-mini", 3, (4, 16, 16), seed=12)
+        old = tmp_path / "old.qprs"
+        save_checkpoint(model, old)
+        before = old.read_bytes()
+        for path in (old, tmp_path / "new.qprs"):
+            with pytest.raises(Interrupted):
+                save_checkpoint(model, path, optimizer=Optimizer())
+        assert old.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["old.qprs"]
+
     def test_header_byte_flips_raise_format_error(self, tmp_path):
         # a flipped header byte either still loads or is a FormatError,
         # never a decode, JSON or lookup error

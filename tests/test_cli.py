@@ -468,6 +468,13 @@ def _edit(name, old, new):
     return edit
 
 
+def _edit_bytes(name, old, new):
+    def edit(dataset_dir):
+        path = dataset_dir / name
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+    return edit
+
+
 def _sample(n, values):
     def edit(dataset_dir):
         save_feature_file(dataset_dir / f"sample_{n:05d}.qfea",
@@ -526,6 +533,16 @@ def _wav(channels, sample_width):
     return write
 
 
+def _clips(*lengths):
+    """One class directory per clip, clip n lengths[n] samples of silence."""
+    def write(tmp_path):
+        for n, length in enumerate(lengths):
+            (tmp_path / "clips" / f"c{n}").mkdir(parents=True)
+            write_wav(tmp_path / "clips" / f"c{n}" / "clip.wav", np.zeros(length))
+        return str(tmp_path / "clips")
+    return write
+
+
 def _checkpoint(edit):
     """A checkpoint with Adam state, its bytes rewritten by edit."""
     def write(tmp_path):
@@ -581,6 +598,7 @@ MALFORMED = [
     ("config_no_equals", ["train", "--config", _config("lr 0.1\n")], None, 2),
     ("config_bad_boolean", ["train", "--config", _config("mixup=maybe\n")], None, 2),
     ("config_bad_number", ["train", "--config", _config("lr=fast\n")], None, 2),
+    ("config_not_utf8", ["train", "--config", _bytes("run.cfg", b"lr=\xff\n")], None, 2),
     ("prune_layers_not_integers", ["prune", "--layers", "x"], None, 2),
     ("compare_without_inputs", ["compare"], None, 2),
     ("wav_missing", ["features", "wav", "--input", lambda tmp: str(tmp / "missing.wav")],
@@ -598,6 +616,10 @@ MALFORMED = [
      _edit("manifest.csv", "sample_00000.qfea,", "sample_00000.qfea,7"), 1),
     ("manifest_no_header", ["eval"], _edit("manifest.csv", "file,label\n", ""), 1),
     ("manifest_no_samples", ["eval"], _write("manifest.csv", "file,label\n"), 1),
+    ("manifest_not_utf8", ["train"],
+     _edit_bytes("manifest.csv", b"sample_00000.qfea,", b"sample_00000.qfea\xff,"), 1),
+    ("dataset_txt_not_utf8", ["train"],
+     _edit_bytes("dataset.txt", b"task=single", b"task=\xfe\xffsingle"), 1),
     ("sample_version", ["eval"],
      _patch("sample_00000.qfea", 4, struct.pack("<I", 9)), 1),
     ("sample_dtype_code", ["eval"],
@@ -663,6 +685,8 @@ BOUNDARY_RAISES = [
      "clip.wav: not a WAV file"),
     ("wav_not_riff", ["features", "wav", "--input", _bytes("clip.wav", bytes(range(100)))],
      "clip.wav: not a WAV file"),
+    ("wav_clip_lengths_differ", ["features", "wav", "--input", _clips(8000, 12000)],
+     "clips must have one length"),
 ]
 
 
