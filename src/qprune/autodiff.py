@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError, ShapeError
-from .nn import (Linear, ModelGraph, Slots, _backprop_layers, _run_layers, freeze,
-                 model_input)
+from .nn import ModelGraph, Slots, _backprop_layers, _run_layers, freeze, model_input
 
 
 class Tape:
@@ -355,73 +354,52 @@ def _blas_threads():
     return None
 
 
-_worker = None  # the thread that runs the second half of each split eval batch
+_worker = None  # the thread that runs the odd batches of a parallel evaluation
 
 if hasattr(os, "register_at_fork"):  # a forked child has no such thread
     os.register_at_fork(after_in_child=lambda: globals().update(_worker=None))
-
-# The batch sizes whose batches are split.  OpenBLAS picks its sgemm kernel
-# by matrix size, and a row's result depends on the kernel.  Halves of 8 to
-# 32 samples keep every conv GEMM of the built-in specs in the size class of
-# the whole batch's; a batch of more than 64 leaves short row blocks in the
-# whole batch's conv GEMMs (see nn._EVAL_GEMM_ROWS).  The linear head, one
-# column per class, would change class with the batch, so it runs whole.
-_SPLIT_BATCHES = range(16, 65)
 
 
 def _eval_logits(model, features, batch_size):
     """[(start, logits)] per batch, from one frozen snapshot of the model.
 
     When numpy's OpenBLAS runs 2 or more threads, the process may use 2
-    CPUs and the batch size is in _SPLIT_BATCHES, BLAS is set to 1 thread,
-    its thread pool stopped, and each batch cut in two up to its first
-    linear layer: the caller
-    runs the first halves and one persistent worker thread the second
-    ones, and the caller runs the rest on the joined batch.  The thread
-    count is restored once every half has finished.  The logits equal the
-    serial ones bit for bit.  Not reentrant across threads.
+    CPUs and there are 2 or more batches, BLAS is set to 1 thread and its
+    thread pool stopped; one persistent worker thread runs batches 1, 3,
+    5, ... and the caller batches 0, 2, 4, ..., each whole.  The thread
+    count is restored once every batch has finished.  Each batch is the
+    serial computation, so the logits equal the serial ones bit for bit.
+    Not reentrant across threads.
     """
     global _worker
     _check_batch_size(batch_size)
     frozen = freeze(model)
-    n = features.shape[0]
-    starts = range(0, n, batch_size)
+    starts = range(0, features.shape[0], batch_size)
     blas = _blas_threads()
     threads = blas[0]() if blas else 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if batch_size not in _SPLIT_BATCHES or threads < 2 or (cpus or 1) < 2:
+    if len(starts) < 2 or threads < 2 or (cpus or 1) < 2:
         return [(s, frozen(model_input(model, features[s : s + batch_size]))) for s in starts]
 
-    k = next((i for i, layer in enumerate(frozen.layers) if isinstance(layer, Linear)),
-             len(frozen.layers))
-    body, head = frozen.layers[:k], frozen.layers[k:]
-
-    def run(lo, hi):
-        return _run_layers(body, model_input(model, features[lo:hi]))[0]
-
-    def finish(s, first, second):
-        h = first if second is None else np.concatenate((first, second.result()))
-        return s, _run_layers(head, h)[0]
+    def run(s):
+        return _run_layers(frozen.layers, model_input(model, features[s : s + batch_size]))[0]
 
     if _worker is None:
         _worker = ThreadPoolExecutor(1, thread_name_prefix="qprune-eval")
     _, put, stop = blas
-    out, queued, halves = [], [], []
+    odd = []
     put(1)
     if stop:  # else its idle thread spins on a core for ~0.1 s after a parallel call
         stop()
     try:
-        for s in starts:
-            end = min(s + batch_size, n)
-            mid = (s + end + 1) // 2 if end - s >= _SPLIT_BATCHES.start else end
-            halves.append(_worker.submit(run, mid, end) if mid < end else None)
-            queued.append((s, run(s, mid), halves[-1]))
-            model.forward_count += 1
-            if len(queued) == 2:  # the older batch's second half has had a half's time
-                out.append(finish(*queued.pop(0)))
-        return out + [finish(*q) for q in queued]
+        odd.extend(_worker.submit(run, s) for s in starts[1::2])
+        logits = [None] * len(starts)
+        logits[::2] = [run(s) for s in starts[::2]]
+        logits[1::2] = [f.result() for f in odd]
+        model.forward_count += len(starts)
+        return list(zip(starts, logits))
     finally:
-        wait([f for f in halves if f is not None and not f.cancel()])
+        wait([f for f in odd if not f.cancel()])
         put(threads)
 
 

@@ -202,6 +202,9 @@ def _check_task(ds, model):
     if ds.task != model.task:
         raise ConfigError(f"the dataset's task is {ds.task}, the checkpoint's "
                           f"{model.task}")
+    if ds.num_classes != model.num_classes:
+        raise ConfigError(f"the dataset has {ds.num_classes} classes, the checkpoint "
+                          f"{model.num_classes}")
 
 
 def _input_shape(ds):
@@ -392,8 +395,11 @@ def cmd_features(cfg):
     encoded = []  # every clip read and encoded before any file is written
     for wav_path, _ in wavs:
         pcm, rate = features.read_wav(wav_path)
-        mel = features.wav_to_mel(pcm, rate, allow_other_rate=cfg["allow_other_rate"])
-        encoded.append(features.encode_quaternion_features(mel).data)
+        try:
+            mel = features.wav_to_mel(pcm, rate, allow_other_rate=cfg["allow_other_rate"])
+            encoded.append(features.encode_quaternion_features(mel).data)
+        except QPruneError as exc:  # name the clip
+            raise type(exc)(f"{wav_path}: {exc}") from None
         if encoded[-1].shape != encoded[0].shape:
             raise FormatError(f"{wav_path}: {encoded[-1].shape} features, but {wavs[0][0]} "
                               f"has {encoded[0].shape}; clips must have one length")

@@ -125,13 +125,13 @@ def wav_to_mel(pcm, sample_rate=SAMPLE_RATE, allow_other_rate=False,
     """
     pcm = np.asarray(pcm)
     if pcm.size == 0:
-        raise ValueError("empty clip")
+        raise ShapeError("empty clip")
     if pcm.ndim != 1:
         raise ShapeError(f"expected mono samples, got shape {pcm.shape}")
     if sample_rate != SAMPLE_RATE and not allow_other_rate:
-        raise ValueError(
+        raise FormatError(
             f"sample rate {sample_rate} != {SAMPLE_RATE}; "
-            "pass allow_other_rate=True to skip this check"
+            "pass allow_other_rate=True (--allow-other-rate) to skip this check"
         )
     if np.issubdtype(pcm.dtype, np.integer):
         pcm = pcm.astype(np.float64) / 32768.0

@@ -76,12 +76,15 @@ def write_report_csv(path, reports):
 
 def read_report_csv(path):
     reader = csv.DictReader(io.StringIO(_read_text(path, "CSV"), newline=""))
-    if reader.fieldnames is None:
+    try:
+        fields, rows = reader.fieldnames, list(reader)
+    except csv.Error as exc:
+        raise FormatError(f"{path}: not a CSV ({exc})") from None
+    if fields is None:
         raise FormatError(f"{path}: empty CSV")
     for col in CSV_COLUMNS:
-        if col not in reader.fieldnames:
+        if col not in fields:
             raise FormatError(f"{path}: missing column {col!r}")
-    rows = list(reader)
     for i, row in enumerate(rows, start=2):
         for col in ("p", "value", "params", "macs", "time_s"):
             try:

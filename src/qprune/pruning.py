@@ -149,14 +149,21 @@ def _check_target(model, idx):
     return layer
 
 
+def _check_unique(indices):
+    repeated = sorted({idx for idx in indices if indices.count(idx) > 1})
+    if repeated:
+        raise PlanError(f"layer {repeated[0]} is targeted more than once")
+
+
 def build_prune_plan(model: ModelGraph, method, p, target_layers=None) -> PrunePlan:
     """Rank filters per targeted layer and select the floor(p*M) least
     important for removal; score ties break toward the lower index."""
     if not 0.0 <= p < 1.0:
         raise PlanError(f"pruning ratio must lie in [0, 1), got {p}")
-    targets = list(model.prunable) if target_layers is None else list(target_layers)
+    targets = sorted(model.prunable if target_layers is None else target_layers)
+    _check_unique(targets)
     plan = PrunePlan(method=method, ratio=float(p))
-    for idx in sorted(targets):
+    for idx in targets:
         layer = _check_target(model, idx)
         scores = importance_scores(layer, method)
         k = int(np.floor(p * layer.q_out))
@@ -171,6 +178,7 @@ def build_prune_plan(model: ModelGraph, method, p, target_layers=None) -> PruneP
 # ---------------------------------------------------------------------------
 
 def _validate_plan(model, plan):
+    _check_unique([entry.layer_index for entry in plan.entries])
     for entry in plan.entries:
         layer = _check_target(model, entry.layer_index)
         m = layer.q_out

@@ -515,31 +515,33 @@ class TestTrainLoop:
 
 SPECS = ["qcnn-mini", "qcnn-mini-p50", "qresnet-mini", "cnn-mini"]
 EVAL_FEATURES = np.random.default_rng(4).normal(size=(70, 4, 1, 32, 16)).astype(np.float32)
+MANY_FEATURES = np.random.default_rng(5).normal(size=(519, 4, 1, 32, 16)).astype(np.float32)
 
 
 def _spec_model(name):
     from qprune.models import build_model
     from qprune.pruning import apply_prune, build_prune_plan
 
-    model = build_model(name.removesuffix("-p50"), 4, (4, 32, 16), seed=1)
-    if name.endswith("-p50"):
+    spec, _, classes = name.partition("-c")  # "-c20": a head of 20 classes
+    model = build_model(spec.removesuffix("-p50"), int(classes or 4), (4, 32, 16), seed=1)
+    if spec.endswith("-p50"):
         model = apply_prune(model, build_prune_plan(model, "op", 0.5))
     inference(model, model_input(model, EVAL_FEATURES[:64]), mode="train")  # BN stats
     return model
 
 
-def _serial_logits(model, batch_size):
+def _serial_logits(model, batch_size, features=EVAL_FEATURES):
     frozen = freeze(model)
-    return [(s, frozen(model_input(model, EVAL_FEATURES[s : s + batch_size])))
-            for s in range(0, len(EVAL_FEATURES), batch_size)]
+    return [(s, frozen(model_input(model, features[s : s + batch_size])))
+            for s in range(0, len(features), batch_size)]
 
 
 @pytest.fixture
 def split(monkeypatch):
-    """Puts _eval_logits on its split path: numpy's OpenBLAS, where found,
-    else a stand-in control, runs 2 threads and 2 CPUs are reported.
-    Yields the control and a list of (ran on the worker, rows), one entry
-    per layer-stack run of _eval_logits' split path."""
+    """Puts _eval_logits on its parallel path: numpy's OpenBLAS, where
+    found, else a stand-in control, runs 2 threads and 2 CPUs are reported.
+    Yields the control and a list of (ran on the worker, logits), one entry
+    per batch that _eval_logits' parallel path ran."""
     control = autodiff._blas_threads()
     if control is None:
         count = [1]
@@ -548,14 +550,15 @@ def split(monkeypatch):
     control[1](2)
     monkeypatch.setattr(autodiff, "_blas_threads", lambda: control)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    halves, caller, run = [], threading.get_ident(), autodiff._run_layers
+    runs, caller, run = [], threading.get_ident(), autodiff._run_layers
 
     def spy(layers, x, *args, **kwargs):
-        halves.append((threading.get_ident() != caller, x.shape[0]))
-        return run(layers, x, *args, **kwargs)
+        out = run(layers, x, *args, **kwargs)
+        runs.append((threading.get_ident() != caller, out[0]))
+        return out
 
     monkeypatch.setattr(autodiff, "_run_layers", spy)
-    yield control, halves
+    yield control, runs
     control[1](before)
 
 
@@ -566,29 +569,33 @@ def _assert_same(got, want):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("batch_size", [1, 16, 64, 53])  # 53: odd halves, last 17
-@pytest.mark.parametrize("name", SPECS)
+@pytest.mark.parametrize("batch_size", [1, 7, 16, 53, 64, 65, 100, 129])
+@pytest.mark.parametrize("name", SPECS + ["qcnn-mini-c20", "cnn-mini-c50"])
 def test_split_logits_are_the_serial_frozen_logits(split, name, batch_size):
     model = _spec_model(name)
-    control, halves = split
-    halves.clear()
-    got = autodiff._eval_logits(model, EVAL_FEATURES, batch_size)
+    control, runs = split
+    features = MANY_FEATURES[: 4 * batch_size + 3]  # five batches, the last of 3
+    runs.clear()
+    got = autodiff._eval_logits(model, features, batch_size)
     assert control[0]() == 2
-    _assert_same(got, _serial_logits(model, batch_size))
-    sizes = [len(EVAL_FEATURES[s : s + batch_size]) for s in range(0, 70, batch_size)]
-    cut = batch_size in autodiff._SPLIT_BATCHES  # and a batch of fewer than 16 runs whole
-    assert sum(rows for worker, rows in halves if worker) == sum(
-        size // 2 for size in sizes if cut and size >= 16)
+    _assert_same(got, _serial_logits(model, batch_size, features))
+    # the worker ran exactly the odd batches, the caller the even ones
+    for on_worker, batches in ((True, got[1::2]), (False, got[::2])):
+        assert [id(z) for w, z in runs if w == on_worker] == [id(z) for _, z in batches]
+    runs.clear()  # one batch runs serially
+    _assert_same(autodiff._eval_logits(model, features[:batch_size], batch_size),
+                 _serial_logits(model, batch_size, features[:batch_size]))
+    assert not runs
 
 
 @pytest.mark.parametrize("how", ["no control", "one blas thread", "one cpu"])
 @pytest.mark.parametrize("name", SPECS)
 def test_serial_path_gives_the_same_logits(split, monkeypatch, name, how):
     model = _spec_model(name)
-    control, halves = split
+    control, runs = split
     want = autodiff._eval_logits(model, EVAL_FEATURES, 53)
-    assert halves
-    halves.clear()
+    assert runs
+    runs.clear()
     if how == "no control":
         monkeypatch.setattr(autodiff, "_blas_threads", lambda: None)
     elif how == "one blas thread":
@@ -596,7 +603,7 @@ def test_serial_path_gives_the_same_logits(split, monkeypatch, name, how):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 53), want)
-    assert not halves
+    assert not runs
 
 
 @pytest.mark.parametrize("batch_size", [1, 16, 23, 64, 70, 500])
@@ -621,8 +628,8 @@ def test_a_raising_layer_restores_the_blas_threads(split, monkeypatch, on):
         return spy(layers, x, *args, **kwargs)
 
     monkeypatch.setattr(autodiff, "_run_layers", fail_third_run)
-    with pytest.raises(RuntimeError, match="a layer failed"):
-        autodiff._eval_logits(model, EVAL_FEATURES, 16)
+    with pytest.raises(RuntimeError, match="a layer failed"):  # 9 batches: 5 caller, 4 worker
+        autodiff._eval_logits(model, EVAL_FEATURES, 8)
     assert control[0]() == 2
     monkeypatch.setattr(autodiff, "_run_layers", spy)  # the worker still serves
     _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 16), _serial_logits(model, 16))

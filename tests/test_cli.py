@@ -533,6 +533,18 @@ def _wav(channels, sample_width):
     return write
 
 
+def _clip(length, rate):
+    def write(tmp_path):
+        write_wav(tmp_path / "clip.wav", np.zeros(length), rate)
+        return str(tmp_path / "clip.wav")
+    return write
+
+
+def _empty_dir(tmp_path):
+    (tmp_path / "empty").mkdir()
+    return str(tmp_path / "empty")
+
+
 def _clips(*lengths):
     """One class directory per clip, clip n lengths[n] samples of silence."""
     def write(tmp_path):
@@ -603,6 +615,9 @@ MALFORMED = [
     ("compare_without_inputs", ["compare"], None, 2),
     ("wav_missing", ["features", "wav", "--input", lambda tmp: str(tmp / "missing.wav")],
      None, 2),
+    ("wav_dir_without_wavs", ["features", "wav", "--input", _empty_dir], None, 2),
+    ("eval_without_checkpoint", ["eval", "--checkpoint", ""], None, 2),
+    ("eval_without_out", ["eval", "--out", ""], None, 2),
     ("compare_p_not_number", ["compare", "--inputs", _eval_csv(p="x")], None, 1),
     ("compare_macs_not_number", ["compare", "--inputs", _eval_csv(macs="")],
      None, 1),
@@ -636,6 +651,13 @@ MALFORMED = [
     ("prune_finetune_multi_label", ["prune", "--finetune-iterations", "1"],
      _edit("dataset.txt", "task=single", "task=multi"), 2),
     ("eval_multi_label", ["eval"], _edit("dataset.txt", "task=single", "task=multi"), 2),
+    # the 3-class checkpoint against 6-class data
+    ("distill_other_class_count", ["distill"],
+     _edit("dataset.txt", "num_classes=3", "num_classes=6"), 2),
+    ("prune_finetune_other_class_count", ["prune", "--finetune-iterations", "1"],
+     _edit("dataset.txt", "num_classes=3", "num_classes=6"), 2),
+    ("eval_other_class_count", ["eval"],
+     _edit("dataset.txt", "num_classes=3", "num_classes=6"), 2),
 ]
 
 
@@ -656,9 +678,9 @@ def test_malformed_input_one_line_error(tmp_path, trained, argv, edit, code,
               "features": [], "compare": []}
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     capsys.readouterr()
-    # the case's own flags come last, so they override the inputs'
-    assert main([argv[0], *inputs[argv[0]], *argv[1:],
-                 "--out", str(tmp_path / "o")]) == code
+    # the case's own flags come last, so they override the inputs' and --out
+    assert main([argv[0], *inputs[argv[0]], "--out", str(tmp_path / "o"),
+                 *argv[1:]]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.rglob("*.qprs"))
@@ -687,6 +709,16 @@ BOUNDARY_RAISES = [
      "clip.wav: not a WAV file"),
     ("wav_clip_lengths_differ", ["features", "wav", "--input", _clips(8000, 12000)],
      "clips must have one length"),
+    ("wav_other_rate", ["features", "wav", "--input", _clip(8000, 8000)],
+     "clip.wav: sample rate 8000 != 32000"),
+    ("wav_empty_clip", ["features", "wav", "--input", _clip(0, 32000)], "clip.wav: empty clip"),
+    ("csv_field_too_large", ["compare", "--inputs", _eval_csv(model="m" * 200000)],
+     "eval.csv: not a CSV"),
+    ("prune_layers_twice", ["prune", "--layers", "8,8"], "layer 8 is targeted more than once"),
+    ("plan_layer_twice",
+     ["distill", "--plan", _file("twice.qplan", "QPLAN 1\nmethod: op\nratio: 0.5\n"
+                                 + "layer 12\nscores: 1 2\nremoved: 0\n" * 2 + "end\n")],
+     "layer 12 is targeted more than once"),
 ]
 
 
@@ -695,6 +727,7 @@ BOUNDARY_RAISES = [
 def test_boundary_raise_one_line_error(tmp_path, trained, data_dir, argv, says, capsys):
     inputs = {"eval": ["--checkpoint", str(trained / "model.qprs"), "--data", str(data_dir)],
               "distill": ["--teacher", str(trained / "model.qprs"), "--data", str(data_dir)],
+              "prune": ["--checkpoint", str(trained / "model.qprs")],
               "features": [], "compare": []}
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     capsys.readouterr()

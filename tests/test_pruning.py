@@ -283,6 +283,10 @@ class TestBuildPrunePlan:
         with pytest.raises(PlanError):
             build_prune_plan(chain_model(), "l1", 0.5, target_layers=[2])
 
+    def test_a_layer_targeted_twice(self):
+        with pytest.raises(PlanError, match="layer 3 is targeted more than once"):
+            build_prune_plan(chain_model(), "l1", 0.5, target_layers=[3, 0, 3])
+
     def test_residual_target_rejected(self):
         from qprune.models import build_model
         model = build_model("qresnet-mini", 4, (4, 16, 16), seed=0)
@@ -452,6 +456,13 @@ class TestSurgeryRaises:
     def test_removal_index_out_of_range(self, removed):
         message = self.refused(chain_model(), PlanEntry(3, np.zeros(8), removed))
         assert "out of range for layer 3" in message
+
+    def test_a_layer_listed_twice(self):
+        model, entry = chain_model(), PlanEntry(3, np.zeros(8), [0])
+        before = store_bytes(model)
+        with pytest.raises(PlanError, match="layer 3 is targeted more than once"):
+            apply_prune(model, PrunePlan("l1", 0.5, [entry, entry]))
+        assert store_bytes(model) == before
 
     def test_removing_every_filter(self):
         message = self.refused(chain_model(), PlanEntry(0, np.zeros(4), [0, 1, 2, 3]))
