@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigError, DivergenceError, ShapeError
+from .metrics import mean_average_precision
 from .nn import ModelGraph, Slots, _backprop_layers, _run_layers, freeze, model_input
 
 
@@ -354,69 +355,57 @@ def _blas_threads():
     return None
 
 
-_worker = None  # the thread that runs the odd batches of a parallel evaluation
-
-if hasattr(os, "register_at_fork"):  # a forked child has no such thread
-    os.register_at_fork(after_in_child=lambda: globals().update(_worker=None))
-
-
 def _eval_logits(model, features, batch_size):
-    """[(start, logits)] per batch, from one frozen snapshot of the model.
+    """(N, K) logits, batch by batch, from one frozen snapshot of the model.
 
     When numpy's OpenBLAS runs 2 or more threads, the process may use 2
     CPUs and there are 2 or more batches, BLAS is set to 1 thread and its
-    thread pool stopped; one persistent worker thread runs batches 1, 3,
-    5, ... and the caller batches 0, 2, 4, ..., each whole.  The thread
-    count is restored once every batch has finished.  Each batch is the
-    serial computation, so the logits equal the serial ones bit for bit.
-    Not reentrant across threads.
+    thread pool stopped; a worker thread started for the call runs batches
+    1, 3, 5, ... and the caller batches 0, 2, 4, ..., each whole.  The
+    worker is shut down and the thread count restored once every batch
+    has finished.  Each batch is the serial computation, so the logits
+    equal the serial ones bit for bit.  Not reentrant across threads.
     """
-    global _worker
     _check_batch_size(batch_size)
     frozen = freeze(model)
     starts = range(0, features.shape[0], batch_size)
-    blas = _blas_threads()
-    threads = blas[0]() if blas else 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if len(starts) < 2 or threads < 2 or (cpus or 1) < 2:
-        return [(s, frozen(model_input(model, features[s : s + batch_size]))) for s in starts]
 
     def run(s):
         return _run_layers(frozen.layers, model_input(model, features[s : s + batch_size]))[0]
 
-    if _worker is None:
-        _worker = ThreadPoolExecutor(1, thread_name_prefix="qprune-eval")
-    _, put, stop = blas
-    odd = []
-    put(1)
-    if stop:  # else its idle thread spins on a core for ~0.1 s after a parallel call
-        stop()
-    try:
-        odd.extend(_worker.submit(run, s) for s in starts[1::2])
-        logits = [None] * len(starts)
-        logits[::2] = [run(s) for s in starts[::2]]
-        logits[1::2] = [f.result() for f in odd]
-        model.forward_count += len(starts)
-        return list(zip(starts, logits))
-    finally:
-        wait([f for f in odd if not f.cancel()])
-        put(threads)
+    blas = _blas_threads()
+    threads = blas[0]() if blas else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if len(starts) < 2 or threads < 2 or (cpus or 1) < 2:
+        logits = [run(s) for s in starts]
+    else:
+        _, put, stop = blas
+        worker = ThreadPoolExecutor(1, thread_name_prefix="qprune-eval")
+        put(1)
+        if stop:  # else its idle thread spins on a core for ~0.1 s after a parallel call
+            stop()
+        try:
+            odd = [worker.submit(run, s) for s in starts[1::2]]
+            logits = [None] * len(starts)
+            logits[::2] = [run(s) for s in starts[::2]]
+            logits[1::2] = [f.result() for f in odd]
+        finally:
+            worker.shutdown(cancel_futures=True)
+            put(threads)
+    model.forward_count += len(starts)
+    return np.concatenate(logits)
 
 
 def evaluate_accuracy(model, features, labels, batch_size=64):
     """Top-1 accuracy for single-label data (integer labels)."""
-    correct = sum(int((z.argmax(axis=1) == labels[start : start + batch_size]).sum())
-                  for start, z in _eval_logits(model, features, batch_size))
-    return correct / features.shape[0]
+    z = _eval_logits(model, features, batch_size)
+    return int((z.argmax(axis=1) == labels).sum()) / features.shape[0]
 
 
 def evaluate_metric(model, features, labels, task, batch_size=64):
     if task == "single":
         return evaluate_accuracy(model, features, labels, batch_size)
-    from .metrics import mean_average_precision  # local import, avoids a cycle
-
-    scores = [z for _, z in _eval_logits(model, features, batch_size)]
-    return mean_average_precision(np.concatenate(scores), labels).value
+    return mean_average_precision(_eval_logits(model, features, batch_size), labels).value
 
 
 def train_loop(model, features, labels, config: TrainConfig,

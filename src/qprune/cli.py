@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff, distill, features, metrics, models, nn, pruning
 from ._files import _read_text, _write
-from .exceptions import ConfigError, FormatError, QPruneError
+from .exceptions import ConfigError, FormatError, QPruneError, ShapeError
 
 
 class Opt(NamedTuple):
@@ -199,12 +199,19 @@ def _write_log(path, columns, rows):
 
 
 def _check_task(ds, model):
+    """The model takes the dataset: its task, class count and input shape."""
     if ds.task != model.task:
         raise ConfigError(f"the dataset's task is {ds.task}, the checkpoint's "
                           f"{model.task}")
     if ds.num_classes != model.num_classes:
         raise ConfigError(f"the dataset has {ds.num_classes} classes, the checkpoint "
                           f"{model.num_classes}")
+    shape = _input_shape(ds)
+    try:
+        metrics.count_macs(model, shape)  # walks every layer's out_shape
+    except ShapeError as exc:
+        raise ConfigError(f"{model.name or 'the model'} (input {model.input_shape}) does "
+                          f"not take the dataset's {shape} features: {exc}") from None
 
 
 def _input_shape(ds):
@@ -226,10 +233,11 @@ def _train_config(cfg, **command_fields):
 
 def cmd_train(cfg):
     train_ds, val_ds = _load_data(cfg)
-    out = _out_dir(cfg)
     model = models.build_model(cfg["model"], train_ds.num_classes,
                                _input_shape(train_ds), seed=cfg["seed"],
                                task=train_ds.task)
+    _check_task(train_ds, model)
+    out = _out_dir(cfg)
     rows = []
     tc = _train_config(cfg, iterations=cfg["iterations"],
                        target_metric=cfg["target_metric"],
@@ -293,6 +301,7 @@ def cmd_distill(cfg):
     teacher_path = _require_file(cfg["teacher"], "teacher checkpoint")
     train_ds, val_ds = _load_data(cfg)
     teacher, _ = nn.load_checkpoint(teacher_path)
+    distill.check_teacher(teacher)
     _check_task(train_ds, teacher)
     if cfg["plan"]:
         plan = pruning.load_plan(_require_file(cfg["plan"], "prune plan"))

@@ -21,7 +21,7 @@ from .autodiff import (
     TrainConfig,
     _check_tape,
     cross_entropy,
-    kl_divergence,
+    log_softmax,
     softmax,
     train_loop,
 )
@@ -70,7 +70,10 @@ def kd_total_loss(z_student, z_teacher, y, cfg: KDConfig, tape=None):
     t = cfg.temperature
     p_s = softened_softmax(z_s, t)
     p_t = softened_softmax(z_t, t)
-    kl = kl_divergence(p_t, p_s)
+    # KL from the log-probabilities, finite where a softened probability
+    # underflows to 0 (a small T); a p_t of 0 contributes 0
+    log_ratio = log_softmax(z_t / t) - log_softmax(z_s / t)
+    kl = float((p_t * log_ratio).sum() / z_s.shape[0])
     if cfg.alpha == 1.0:
         loss = Loss(float(ce), ce.dlogits, tape)
     else:
@@ -99,6 +102,13 @@ def make_student_from_plan(teacher: ModelGraph, plan: PrunePlan,
     return student
 
 
+def check_teacher(teacher: ModelGraph):
+    """Raise ConfigError for a multi-label teacher: the KD loss is softmax-only."""
+    if teacher.task == "multi":
+        raise ConfigError("distillation needs a single-label teacher; "
+                          "its KD loss is softmax-only")
+
+
 def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
                   cfg: KDConfig, train_cfg: TrainConfig,
                   val_dataset=None, log_rows=None) -> ModelGraph:
@@ -111,9 +121,7 @@ def distill_train(teacher: ModelGraph, student: ModelGraph, dataset,
     tuples.  A multi-label teacher raises ConfigError: the KD loss is
     softmax-only.
     """
-    if teacher.task == "multi":
-        raise ConfigError("distillation needs a single-label teacher; "
-                          "its KD loss is softmax-only")
+    check_teacher(teacher)
     if teacher.num_classes != student.num_classes:
         raise ShapeError(
             f"teacher has {teacher.num_classes} classes, student "

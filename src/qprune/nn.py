@@ -1233,6 +1233,26 @@ def _min_payload_bytes(specs):
     return total
 
 
+_OPTIMIZER_FIELDS = (  # (key, test of its value, what the test requires)
+    ("lr", lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+    ("t", lambda v: isinstance(v, int) and v >= 0, "an integer >= 0"),
+    ("beta1", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("beta2", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("eps", lambda v: 0 < v < math.inf, "a finite number > 0"),
+)
+
+
+def _check_optimizer(meta, path):
+    """Raise FormatError unless the optimizer table names SGD or Adam with
+    hyperparameters it can step with."""
+    if meta["kind"] not in ("sgd", "adam"):
+        raise FormatError(f"{path}: unknown optimizer {meta['kind']!r}")
+    for key, test, what in _OPTIMIZER_FIELDS:
+        value = meta[key]
+        if not isinstance(value, (int, float)) or not test(value):
+            raise FormatError(f"{path}: optimizer {key} {value!r} is not {what}")
+
+
 def _read_checkpoint(raw, offset, path):
     header = json.loads(raw[16:offset].decode("utf-8"))
     # before any layer allocates what the header's widths ask for
@@ -1261,12 +1281,15 @@ def _read_checkpoint(raw, offset, path):
     opt_state = None
     meta = header.get("optimizer")
     if meta is not None:
+        _check_optimizer(meta, path)
         slots = {}
         for slot in meta["slots"]:
             shape = tuple(slot["shape"])
+            if not all(isinstance(d, int) for d in shape):
+                raise FormatError(f"{path}: optimizer slot shape {shape} is not integers")
             if any(d < 0 for d in shape):
                 raise FormatError(f"{path}: negative optimizer slot shape {shape}")
-            nbytes = 4 * int(np.prod(shape)) if shape else 4
+            nbytes = 4 * math.prod(shape)
             if offset + nbytes > len(raw):
                 raise TruncationError(f"{path}: truncated optimizer state")
             slots[slot["key"]] = np.frombuffer(

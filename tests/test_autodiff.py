@@ -530,10 +530,18 @@ def _spec_model(name):
     return model
 
 
-def _serial_logits(model, batch_size, features=EVAL_FEATURES):
+def _serial_batches(model, batch_size, features=EVAL_FEATURES):
     frozen = freeze(model)
-    return [(s, frozen(model_input(model, features[s : s + batch_size])))
+    return [frozen(model_input(model, features[s : s + batch_size]))
             for s in range(0, len(features), batch_size)]
+
+
+def _serial_logits(model, batch_size, features=EVAL_FEATURES):
+    return np.concatenate(_serial_batches(model, batch_size, features))
+
+
+def _eval_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("qprune-eval")]
 
 
 @pytest.fixture
@@ -541,7 +549,7 @@ def split(monkeypatch):
     """Puts _eval_logits on its parallel path: numpy's OpenBLAS, where
     found, else a stand-in control, runs 2 threads and 2 CPUs are reported.
     Yields the control and a list of (ran on the worker, logits), one entry
-    per batch that _eval_logits' parallel path ran."""
+    per batch that _eval_logits ran."""
     control = autodiff._blas_threads()
     if control is None:
         count = [1]
@@ -563,10 +571,15 @@ def split(monkeypatch):
 
 
 def _assert_same(got, want):
-    assert [s for s, _ in got] == [s for s, _ in want]
-    for (_, a), (_, b) in zip(got, want):
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def _assert_ran(runs, batches):
+    """runs holds exactly the batches' logits, bit for bit, in order."""
+    assert len(runs) == len(batches)
+    for z, want in zip(runs, batches):
+        _assert_same(z, want)
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 16, 53, 64, 65, 100, 129])
@@ -575,17 +588,18 @@ def test_split_logits_are_the_serial_frozen_logits(split, name, batch_size):
     model = _spec_model(name)
     control, runs = split
     features = MANY_FEATURES[: 4 * batch_size + 3]  # five batches, the last of 3
+    want = _serial_batches(model, batch_size, features)
     runs.clear()
     got = autodiff._eval_logits(model, features, batch_size)
-    assert control[0]() == 2
-    _assert_same(got, _serial_logits(model, batch_size, features))
+    assert control[0]() == 2 and not _eval_threads()
+    _assert_same(got, np.concatenate(want))
     # the worker ran exactly the odd batches, the caller the even ones
-    for on_worker, batches in ((True, got[1::2]), (False, got[::2])):
-        assert [id(z) for w, z in runs if w == on_worker] == [id(z) for _, z in batches]
+    _assert_ran([z for w, z in runs if w], want[1::2])
+    _assert_ran([z for w, z in runs if not w], want[::2])
     runs.clear()  # one batch runs serially
     _assert_same(autodiff._eval_logits(model, features[:batch_size], batch_size),
                  _serial_logits(model, batch_size, features[:batch_size]))
-    assert not runs
+    assert [w for w, _ in runs] == [False]
 
 
 @pytest.mark.parametrize("how", ["no control", "one blas thread", "one cpu"])
@@ -594,7 +608,7 @@ def test_serial_path_gives_the_same_logits(split, monkeypatch, name, how):
     model = _spec_model(name)
     control, runs = split
     want = autodiff._eval_logits(model, EVAL_FEATURES, 53)
-    assert runs
+    assert any(w for w, _ in runs)
     runs.clear()
     if how == "no control":
         monkeypatch.setattr(autodiff, "_blas_threads", lambda: None)
@@ -603,7 +617,7 @@ def test_serial_path_gives_the_same_logits(split, monkeypatch, name, how):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 53), want)
-    assert not runs
+    assert [w for w, _ in runs] == [False, False]  # both batches on the caller
 
 
 @pytest.mark.parametrize("batch_size", [1, 16, 23, 64, 70, 500])
@@ -630,6 +644,6 @@ def test_a_raising_layer_restores_the_blas_threads(split, monkeypatch, on):
     monkeypatch.setattr(autodiff, "_run_layers", fail_third_run)
     with pytest.raises(RuntimeError, match="a layer failed"):  # 9 batches: 5 caller, 4 worker
         autodiff._eval_logits(model, EVAL_FEATURES, 8)
-    assert control[0]() == 2
-    monkeypatch.setattr(autodiff, "_run_layers", spy)  # the worker still serves
+    assert control[0]() == 2 and not _eval_threads()
+    monkeypatch.setattr(autodiff, "_run_layers", spy)  # the next evaluation matches
     _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 16), _serial_logits(model, 16))

@@ -1,11 +1,18 @@
 """Checkpoint format tests: bit-exact round trips and error handling."""
 
+import copy
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from conftest import toy_nested_residual_model
+from conftest import (
+    toy_nested_residual_model,
+    toy_quaternion_model,
+    toy_real_model,
+    toy_residual_model,
+)
 
 from qprune.autodiff import (
     OptimState,
@@ -32,6 +39,24 @@ from qprune.nn import (
 
 def params_blob(model):
     return b"".join(arr.tobytes() for _, _, _, arr in model.all_params())
+
+
+HEADER_VALUES = [0, 1, -1, 2, 3, 0.5, -0.5, 1e-308, 1e308, -1e308, float("nan"),
+                 float("inf"), 2**63]
+
+
+def _numeric_fields(node, where=()):
+    """The key paths of every number in a decoded JSON header."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield where
+        return
+    for key, child in items:
+        yield from _numeric_fields(child, where + (key,))
 
 
 class TestCheckpointRoundTrip:
@@ -191,6 +216,41 @@ class TestCheckpointErrors:
                 load_checkpoint(bad)
             except FormatError:
                 pass
+
+    @pytest.mark.parametrize("toy", [toy_quaternion_model, toy_real_model,
+                                     toy_residual_model, toy_nested_residual_model])
+    def test_header_value_edits_raise_format_error(self, tmp_path, toy):
+        # every numeric field of the model, payload and optimizer tables,
+        # set to each value below and to two seeded random ones, loads (and
+        # its optimizer state restores or is refused as not fitting) or is a
+        # FormatError, never another exception or a warning
+        model = toy(dtype=np.float32)
+        path = tmp_path / "c.qprs"
+        save_checkpoint(model, path, optimizer=OptimState(model, "adam", lr=1e-3))
+        raw = path.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16 : 16 + hlen])
+        rng = np.random.default_rng(0)
+        bad = tmp_path / "edited.qprs"
+        for where in _numeric_fields(header):
+            for value in HEADER_VALUES + [int(rng.integers(-2**40, 2**40)),
+                                          float(rng.normal() * 10.0 ** rng.integers(-300, 300))]:
+                edited = copy.deepcopy(header)
+                node = edited
+                for key in where[:-1]:
+                    node = node[key]
+                node[where[-1]] = value
+                blob = json.dumps(edited, sort_keys=True).encode()
+                bad.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        loaded, state = load_checkpoint(bad)
+                        OptimState.from_saved(loaded, state)
+                    except FormatError:
+                        pass
+                    except ShapeError as exc:
+                        assert "does not fit the model" in str(exc), (where, value)
 
     def test_payload_table_must_match_model(self, tmp_path):
         model = build_model("qcnn-mini", 3, (4, 16, 16), seed=11)

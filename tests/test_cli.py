@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qprune.autodiff import OptimState
-from qprune.cli import main
+from qprune.cli import COMMANDS, main
 from qprune.features import (save_dataset, save_feature_file, synth_dataset,
                               write_wav)
 from qprune.models import build_model
@@ -566,12 +566,29 @@ def _checkpoint(edit):
     return write
 
 
-def _negative_slot_shape(raw):
-    hlen = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16 : 16 + hlen])
-    header["optimizer"]["slots"][0]["shape"] = [-1, 4]
-    blob = json.dumps(header, sort_keys=True).encode()
-    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :]
+def _optimizer_edit(edit):
+    """A checkpoint edit: edit(optimizer table) changes the header in place."""
+    def rewrite(raw):
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16 : 16 + hlen])
+        edit(header["optimizer"])
+        blob = json.dumps(header, sort_keys=True).encode()
+        return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :]
+    return rewrite
+
+
+def _resynth(**shape):
+    """A dataset edit: the same 6 samples at another frame or bin count."""
+    def edit(dataset_dir):
+        save_dataset(synth_dataset(3, 6, seed=0, **{"frames": 16, "bins": 16, **shape}),
+                     dataset_dir)
+    return edit
+
+
+def _multi_label_teacher(tmp_path):
+    path = tmp_path / "teacher.ckpt"  # not *.qprs, which the test counts
+    save_checkpoint(build_model("qcnn-mini", 3, (4, 16, 16), task="multi"), path)
+    return str(path)
 
 
 def _eval_csv(**fields):
@@ -658,6 +675,16 @@ MALFORMED = [
      _edit("dataset.txt", "num_classes=3", "num_classes=6"), 2),
     ("eval_other_class_count", ["eval"],
      _edit("dataset.txt", "num_classes=3", "num_classes=6"), 2),
+    # data the model's four 2x2 pools do not fit: 7 frames, or 4 or 8 bins
+    ("train_7_frames", ["train"], _resynth(frames=7), 2),
+    ("train_4_bins", ["train"], _resynth(bins=4), 2),
+    ("train_8_bins", ["train"], _resynth(bins=8), 2),
+    # the 16-bin checkpoint against 8-bin data
+    ("eval_8_bins", ["eval"], _resynth(bins=8), 2),
+    ("distill_8_bins", ["distill"], _resynth(bins=8), 2),
+    ("prune_finetune_8_bins", ["prune", "--finetune-iterations", "1"], _resynth(bins=8), 2),
+    ("distill_multi_label_teacher", ["distill", "--teacher", _multi_label_teacher],
+     _edit("dataset.txt", "task=single", "task=multi"), 2),
 ]
 
 
@@ -695,8 +722,22 @@ BOUNDARY_RAISES = [
     ("checkpoint_truncated_header",
      ["eval", "--checkpoint", _checkpoint(lambda raw: raw[:40])], "truncated header"),
     ("checkpoint_negative_slot_shape",
-     ["eval", "--checkpoint", _checkpoint(_negative_slot_shape)],
+     ["eval", "--checkpoint", _checkpoint(_optimizer_edit(
+         lambda opt: opt["slots"][0].update(shape=[-1, 4])))],
      "negative optimizer slot shape (-1, 4)"),
+    ("checkpoint_slot_dimension_not_integer",
+     ["eval", "--checkpoint", _checkpoint(_optimizer_edit(
+         lambda opt: opt["slots"][0].update(shape=[1e308, 4])))],
+     "optimizer slot shape (1e+308, 4) is not integers"),
+    ("checkpoint_optimizer_lr_null",
+     ["eval", "--checkpoint", _checkpoint(_optimizer_edit(lambda opt: opt.update(lr=None)))],
+     "optimizer lr None is not a finite number >= 0"),
+    ("checkpoint_optimizer_lr_negative",
+     ["eval", "--checkpoint", _checkpoint(_optimizer_edit(lambda opt: opt.update(lr=-1)))],
+     "optimizer lr -1 is not a finite number >= 0"),
+    ("checkpoint_optimizer_kind",
+     ["eval", "--checkpoint", _checkpoint(_optimizer_edit(lambda opt: opt.update(kind="rms")))],
+     "unknown optimizer 'rms'"),
     ("plan_ratio_not_one_number",
      ["distill", "--plan", _file("bad.qplan", "QPLAN 1\nmethod: op\nratio: 0.5 0.25\n"
                                  "layer 12\nscores: 1 2\nremoved: 0\nend\n")],
@@ -815,3 +856,37 @@ def test_short_mel_sample_error_names_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "sample_00003.qfea: need at least 7 frames" in err
+
+
+# each bound of a numeric option's domain and the value across it, tried
+# beside 0, -1, nan and inf
+BOUNDS = {"batch_size": ["1"], "val_fraction": ["0.5", "1"], "ratio": ["0.5", "1"],
+          "alpha": ["1", "1.5"], "temperature": ["0.001"], "time_repeats": ["2", "3"],
+          "classes": ["1", "2"], "samples": ["3", "4"], "frames": ["6", "7"],
+          "bins": ["1"]}
+SWEEP = [(command, name, value)
+         for command, (_, table) in COMMANDS.items()
+         for name, opt in table.items() if opt.type in (int, float)
+         for value in ["0", "-1", "nan", "inf", *BOUNDS.get(name, [])]]
+
+
+@pytest.mark.parametrize("command,option,value", SWEEP, ids=["-".join(row) for row in SWEEP])
+def test_every_numeric_option_value_runs_or_is_one_line(tmp_path, capsys, trained,
+                                                        data_dir, command, option, value):
+    ckpt = str(trained / "model.qprs")
+    inputs = {"train": ["--data", str(data_dir), "--iterations", "1"],
+              "prune": ["--checkpoint", ckpt, "--data", str(data_dir),
+                        "--finetune-iterations", "1"],
+              "distill": ["--teacher", ckpt, "--data", str(data_dir), "--iterations", "1"],
+              "eval": ["--checkpoint", ckpt, "--data", str(data_dir)],
+              "compare": ["--inputs", _eval_csv()(tmp_path)],
+              "features": ["synth", "--samples", "8", "--frames", "16", "--bins", "16"]}
+    capsys.readouterr()
+    code = main([command, *inputs[command], f"--{option.replace('_', '-')}={value}",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and (tmp_path / "o").is_dir(), err
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+        assert not (tmp_path / "o").exists()

@@ -77,11 +77,14 @@ class TestKDTotalLoss:
         y = one_hot(rng.integers(0, 4, size=5), 4)
         want_kl = kl_divergence(softened_softmax(z_t, 3.0),
                                 softened_softmax(z_s, 3.0))
+        kls = []
         for alpha in (0.0, 0.5, 1.0):
             for t2 in (False, True):
                 kd = kd_total_loss(z_s, z_t, y, KDConfig(3.0, alpha, t2))
                 assert kd.ce == float(cross_entropy(z_s, y))
-                assert kd.kl == want_kl
+                kls.append(kd.kl)
+        # one value at every alpha and scaling, from log-probabilities
+        assert kls == [kls[0]] * 6 and kls[0] == pytest.approx(want_kl, rel=1e-12)
 
     def test_alpha_zero_identical_logits(self, rng):
         z = rng.normal(size=(3, 5))
@@ -112,6 +115,17 @@ class TestKDTotalLoss:
             z_t = rng.normal(size=(2, 6)) * 4
             y = one_hot(rng.integers(0, 6, size=2), 6)
             assert float(kd_total_loss(z_s, z_t, y, cfg)) >= 0.0
+
+    def test_small_temperature_stays_finite(self):
+        # at T = 0.001 softmax(z_s / T) puts 0 on the teacher's class 1,
+        # where softmax(z_t / T) puts 1: KL = (3 - 0) / T
+        z_s = np.array([[3.0, 0.0, -2.0]])
+        z_t = np.array([[0.0, 2.0, 1.0]])
+        y = one_hot([1], 3)
+        kd = kd_total_loss(z_s, z_t, y, KDConfig(temperature=0.001, alpha=0.5))
+        assert kd.kl == pytest.approx(3000.0, rel=1e-12)
+        assert float(kd) == pytest.approx(0.5 * kd.ce + 1500.0, rel=1e-12)
+        assert np.isfinite(kd.dlogits).all()
 
     def test_t2_scaling_flag(self, rng):
         z_s = rng.normal(size=(4, 3))

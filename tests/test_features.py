@@ -1,6 +1,9 @@
 """Audio feature pipeline tests: STFT/mel oracles, quaternion encoding,
 feature file format, and synthetic datasets."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,35 @@ class TestManifestLoader:
         path.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(error, match=path.name):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("n,rank", [(0, 4), (1, 2)], ids=["quaternion", "mel"])
+    def test_header_value_edits_raise_format_error(self, tmp_path, n, rank):
+        # every number of a sample's QFEA header (version, dtype code, rank
+        # and dims), set to each value below and to two seeded random ones,
+        # loads or is a FormatError, never another exception or a warning
+        rng = np.random.default_rng(15)
+        objs = [QTensor(rng.normal(size=(4, 1, 9, 5)).astype(np.float32)),
+                MelSpectrogram(rng.normal(size=(9, 5)))]
+        for k, obj in enumerate(objs):
+            save_feature_file(tmp_path / features.SAMPLE_FILE.format(k), obj)
+        save_manifest(tmp_path, [0, 1], 2, "single")
+        path = tmp_path / features.SAMPLE_FILE.format(n)
+        raw = path.read_bytes()
+        fields = [(4, "<I"), (8, "<I"), (12, "<Q")] + [(20 + 8 * i, "<Q") for i in range(rank)]
+        for offset, fmt in fields:
+            top = 2 ** (8 * struct.calcsize(fmt))
+            values = [0, 1, 2, 3, 4, 5, 9, 45, 2**31, 2**32 + 1, 2**63, -2, -1]
+            values += [int(v) for v in rng.integers(0, top, 2, dtype=np.uint64)]
+            for value in values:
+                edited = bytearray(raw)
+                struct.pack_into(fmt, edited, offset, value % top)
+                path.write_bytes(bytes(edited))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        load_dataset(tmp_path)
+                    except FormatError:
+                        pass
 
     def test_shape_mismatch_names_file_and_shapes(self, tmp_path):
         save_dataset(synth_dataset(3, 6, seed=5, frames=10, bins=6), tmp_path)

@@ -1,6 +1,7 @@
 """Pruning tests: importance-score oracles, plan construction, surgery."""
 
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -533,6 +534,31 @@ class TestPlanSerialization:
                 plan_from_text(text[:pos] + ch + text[pos + 1:])
             except FormatError:
                 pass
+
+    def test_number_edits_raise_format_error(self):
+        # every number of a plan (ratio, layer indices, scores and removed
+        # indices), set to each value below and to two seeded random ones,
+        # loads or is a FormatError; a plan that loads applies or is a
+        # PlanError or SurgeryError; never another exception or a warning
+        model = chain_model(seed=16)
+        lines = plan_to_text(build_prune_plan(model, "l1", 0.5)).splitlines()
+        rng = np.random.default_rng(0)
+        for i, line in enumerate(lines):
+            prefix = next((p for p in ("ratio: ", "layer ", "scores: ", "removed: ")
+                           if line.startswith(p)), "")
+            tokens = line[len(prefix):].split() if prefix else []
+            for k in range(len(tokens)):
+                for value in ["0", "1", "-1", "2", "7", "0.5", "-0.5", "1e-308", "1e308",
+                              "nan", "inf", "-inf", str(2**63), str(rng.integers(-99, 99)),
+                              repr(rng.normal() * 10.0 ** rng.integers(-300, 300))]:
+                    edited = prefix + " ".join(tokens[:k] + [value] + tokens[k + 1 :])
+                    text = "\n".join(lines[:i] + [edited] + lines[i + 1 :])
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        try:
+                            apply_prune(model, plan_from_text(text))
+                        except (FormatError, PlanError, SurgeryError):
+                            pass
 
     @pytest.mark.parametrize("doc", [
         "QPLAN 1\nmethod: l1\nratio: x\nend\n",
