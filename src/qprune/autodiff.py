@@ -97,9 +97,9 @@ def log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def one_hot(labels, num_classes, dtype=np.float64):
+def one_hot(labels, num_classes):
     labels = np.asarray(labels, dtype=int)
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
+    out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1
     return out
 
@@ -279,14 +279,9 @@ def step(opt: OptimState, grads):
     return opt.step(grads)
 
 
-def mixup(batch_a, batch_b, labels_a, labels_b, lam=None, rng=None):
-    """Convex combination of two batches and their (soft) labels.
-
-    lam is drawn from Beta(1, 1) (uniform) when not given.
-    """
-    if lam is None:
-        rng = rng or np.random.default_rng()
-        lam = float(rng.beta(1.0, 1.0))
+def mixup(batch_a, batch_b, labels_a, labels_b, lam):
+    """Convex combination lam * a + (1 - lam) * b of two batches and of
+    their (soft) labels."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     xa, xb = np.asarray(batch_a), np.asarray(batch_b)

@@ -76,17 +76,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=float) / 2595.0) - 1.0)
 
 
-def mel_filterbank(sample_rate=SAMPLE_RATE, n_fft=WINDOW, n_mels=N_MELS,
-                   fmin=FMIN, fmax=FMAX):
-    """Triangular mel filters on the rFFT bin grid; rows are filters.
+def mel_filterbank(sample_rate=SAMPLE_RATE):
+    """N_MELS triangular mel filters from FMIN to FMAX on the rFFT grid of a
+    WINDOW-sample frame; rows are filters.
 
     Also returns the filter center frequencies in Hz.
     """
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    mel_points = np.linspace(hz_to_mel(FMIN), hz_to_mel(FMAX), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
-    fft_freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
-    fb = np.zeros((n_mels, fft_freqs.size))
-    for m in range(n_mels):
+    fft_freqs = np.fft.rfftfreq(WINDOW, d=1.0 / sample_rate)
+    fb = np.zeros((N_MELS, fft_freqs.size))
+    for m in range(N_MELS):
         lo, center, hi = hz_points[m : m + 3]
         rising = (fft_freqs - lo) / (center - lo)
         falling = (hi - fft_freqs) / (hi - center)
@@ -101,22 +101,21 @@ def _frame_signal(x, window, hop):
         x, shape=(n_frames, window), strides=(hop * s, s), writeable=False)
 
 
-def stft_magnitude(x, window=WINDOW, hop=HOP):
-    """Hann-windowed magnitude STFT with reflect padding of window - hop
-    samples, giving floor(len(x) / hop) frames."""
+def stft_magnitude(x):
+    """Hann-windowed magnitude STFT (WINDOW samples, HOP apart) with reflect
+    padding of WINDOW - HOP samples, giving floor(len(x) / HOP) frames."""
     x = np.asarray(x, dtype=np.float64)
-    pad = window - hop
+    pad = WINDOW - HOP
     left = pad // 2
     if x.size <= left + (pad - left):
         raise ShapeError(f"clip too short for STFT padding ({x.size} samples)")
     xp = np.pad(x, (left, pad - left), mode="reflect")
-    frames = _frame_signal(xp, window, hop)
-    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    frames = _frame_signal(xp, WINDOW, HOP)
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(WINDOW) / WINDOW)
     return np.abs(np.fft.rfft(frames * hann, axis=1))
 
 
-def wav_to_mel(pcm, sample_rate=SAMPLE_RATE, allow_other_rate=False,
-               window=WINDOW, hop=HOP, n_mels=N_MELS, fmin=FMIN, fmax=FMAX):
+def wav_to_mel(pcm, sample_rate=SAMPLE_RATE, allow_other_rate=False):
     """Log mel spectrogram of a mono PCM clip.
 
     ``pcm`` may be float samples or 16-bit integers (scaled to [-1, 1]).
@@ -135,11 +134,11 @@ def wav_to_mel(pcm, sample_rate=SAMPLE_RATE, allow_other_rate=False,
         )
     if np.issubdtype(pcm.dtype, np.integer):
         pcm = pcm.astype(np.float64) / 32768.0
-    spec = stft_magnitude(pcm, window, hop)
-    fb, _ = mel_filterbank(sample_rate, window, n_mels, fmin, fmax)
+    spec = stft_magnitude(pcm)
+    fb, _ = mel_filterbank(sample_rate)
     mel = spec @ fb.T
     values = np.log(np.maximum(mel, LOG_FLOOR))
-    return MelSpectrogram(values, sample_rate, window, hop)
+    return MelSpectrogram(values, sample_rate)
 
 
 def read_wav(path):
@@ -174,8 +173,8 @@ def write_wav(path, samples, sample_rate=SAMPLE_RATE):
 # ---------------------------------------------------------------------------
 
 def _temporal_derivative(psi, order):
-    """Discrete d^k psi / dt^k along axis -2 of a (..., frames, bins) array
-    (unit frame spacing).
+    """Discrete d^k psi / dt^k, k = 1, 2 or 3, along axis -2 of a
+    (..., frames, bins) array (unit frame spacing).
 
     Central stencils on the interior, one-sided differences at the edges.
     All stencils are evaluated as nested first differences, so constant
@@ -197,8 +196,7 @@ def _temporal_derivative(psi, order):
         d[1:-1] = (psi[2:] - psi[1:-1]) - (psi[1:-1] - psi[:-2])
         d[0] = (psi[2] - psi[1]) - (psi[1] - psi[0])
         d[-1] = (psi[-1] - psi[-2]) - (psi[-2] - psi[-3])
-    elif order == 3:
-        # central: (a - b + c)/2 with a, b, c successive differences
+    else:  # order 3; central: (a - b + c)/2 with a, b, c successive differences
         a = psi[4:] - psi[3:-1]
         b = psi[3:-1] - psi[1:-3]
         c = psi[1:-3] - psi[:-4]
@@ -209,8 +207,6 @@ def _temporal_derivative(psi, order):
         for i in (t - 2, t - 1):  # backward third difference
             d[i] = ((psi[i] - psi[i - 1]) - 2 * (psi[i - 1] - psi[i - 2])
                     + (psi[i - 2] - psi[i - 3]))
-    else:
-        raise ValueError(f"unsupported derivative order {order}")
     return out
 
 

@@ -34,6 +34,7 @@ from .exceptions import (
 from .nn import Linear, ModelGraph, QBatchNorm2d, QConv2d, ResidualBlock
 
 METHODS = ("l1", "gm", "op")
+GM_TOL, GM_MAX_ITER = 1e-8, 1000  # geometric_median's step tolerance and round limit
 
 
 def l1_importance(layer: QConv2d):
@@ -41,10 +42,10 @@ def l1_importance(layer: QConv2d):
     return np.abs(np.array(layer.weights, np.float64, order="C")).sum(axis=(0, 2, 3, 4))
 
 
-def geometric_median(points, tol=1e-8, max_iter=1000):
+def geometric_median(points):
     """Weiszfeld iteration for the point minimizing sum ||x - x_j||_2.
 
-    Converges when the step falls below ``tol`` or after ``max_iter``
+    Converges when the step falls below GM_TOL or after GM_MAX_ITER
     rounds.  When an iterate lands on a data point the iterate is nudged
     off it (deterministically) and iteration continues.
     """
@@ -57,7 +58,7 @@ def geometric_median(points, tol=1e-8, max_iter=1000):
         return pts[0].copy()
 
     y = pts.mean(axis=0)
-    for _ in range(max_iter):
+    for _ in range(GM_MAX_ITER):
         diff = pts - y
         dist = np.sqrt((diff * diff).sum(axis=1))
         if np.all(dist < 1e-12):  # every point coincides with the iterate
@@ -75,7 +76,7 @@ def geometric_median(points, tol=1e-8, max_iter=1000):
         y_new = (w[:, None] * pts).sum(axis=0) / w.sum()
         step = np.linalg.norm(y_new - y)
         y = y_new
-        if step < tol:
+        if step < GM_TOL:
             break
     return y
 

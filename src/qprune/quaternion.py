@@ -50,13 +50,6 @@ class Quaternion:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"quaternion component {name!r} is not finite")
 
-    @classmethod
-    def from_array(cls, arr) -> "Quaternion":
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (4,):
-            raise ShapeError(f"expected 4 components, got shape {arr.shape}")
-        return cls(*arr.tolist())
-
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.i, self.j, self.k], dtype=float)
 
@@ -75,10 +68,6 @@ def hamilton_product(m: Quaternion, q: Quaternion) -> Quaternion:
 
     Returns m * q with the usual basis rules i^2 = j^2 = k^2 = ijk = -1.
     """
-    if not isinstance(m, Quaternion):
-        m = Quaternion.from_array(m)
-    if not isinstance(q, Quaternion):
-        q = Quaternion.from_array(q)
     return Quaternion(
         m.r * q.r - m.i * q.i - m.j * q.j - m.k * q.k,
         m.i * q.r + m.r * q.i - m.k * q.j + m.j * q.k,
@@ -121,29 +110,8 @@ class QTensor:
     def zeros(cls, channels, height, width, dtype=np.float32) -> "QTensor":
         return cls(np.zeros((4, channels, height, width), dtype=dtype))
 
-    @property
-    def shape(self):
-        """(channels, height, width), excluding the plane axis."""
-        return self.data.shape[1:]
-
-    @property
-    def r(self):
-        return self.data[R]
-
-    @property
-    def i(self):
-        return self.data[I]
-
-    @property
-    def j(self):
-        return self.data[J]
-
-    @property
-    def k(self):
-        return self.data[K]
-
     def __repr__(self):
-        c, h, w = self.shape
+        c, h, w = self.data.shape[1:]
         return f"QTensor(channels={c}, height={h}, width={w}, dtype={self.data.dtype})"
 
 
