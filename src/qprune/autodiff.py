@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DivergenceError, ShapeError
+from .exceptions import ConfigError, DivergenceError, QPruneError, ShapeError
 from .metrics import mean_average_precision
 from .nn import ModelGraph, Slots, _backprop_layers, _run_layers, freeze, model_input
 
@@ -97,8 +97,17 @@ def log_softmax(z):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _check_labels(labels, num_classes):
+    """Raise QPruneError naming the first class label outside [0, num_classes)."""
+    bad = labels[(labels < 0) | (labels >= num_classes)]
+    if bad.size:
+        raise QPruneError(f"label {bad[0]} is outside the {num_classes} classes "
+                          f"[0, {num_classes})")
+
+
 def one_hot(labels, num_classes):
     labels = np.asarray(labels, dtype=int)
+    _check_labels(labels, num_classes)
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1
     return out
@@ -295,6 +304,11 @@ def mixup(batch_a, batch_b, labels_a, labels_b, lam):
 # training loop
 # ---------------------------------------------------------------------------
 
+def _check_batch_size(batch_size):
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be positive, got {batch_size}")
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 500
@@ -302,10 +316,21 @@ class TrainConfig:
     batch_size: int = 16
     optimizer: str = "adam"
     seed: int = 0
-    eval_every: int = 50
+    eval_every: int = 50  # 0: no evaluation
     target_metric: float | None = None  # early stop once reached
     use_mixup: bool = False
     keep: str = "final"  # or "best" (best validation metric)
+
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ConfigError(f"iterations must be non-negative, got {self.iterations}")
+        _check_batch_size(self.batch_size)
+        if self.eval_every < 0:
+            raise ConfigError(f"eval_every must be non-negative, got {self.eval_every}")
+        if self.target_metric is not None and not np.isfinite(self.target_metric):
+            raise ConfigError(f"target metric must be finite, got {self.target_metric}")
+        if self.keep not in ("final", "best"):
+            raise ConfigError(f"keep must be 'final' or 'best', got {self.keep!r}")
 
 
 @dataclass
@@ -314,11 +339,6 @@ class TrainResult:
     history: list = field(default_factory=list)  # (iteration, loss, metric|None)
     best_metric: float = float("nan")
     iterations_run: int = 0
-
-
-def _check_batch_size(batch_size):
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be positive, got {batch_size}")
 
 
 @functools.cache
@@ -393,6 +413,7 @@ def _eval_logits(model, features, batch_size):
 
 def evaluate_accuracy(model, features, labels, batch_size=64):
     """Top-1 accuracy for single-label data (integer labels)."""
+    _check_labels(np.asarray(labels), model.num_classes)
     z = _eval_logits(model, features, batch_size)
     return int((z.argmax(axis=1) == labels).sum()) / features.shape[0]
 
@@ -401,6 +422,18 @@ def evaluate_metric(model, features, labels, task, batch_size=64):
     if task == "single":
         return evaluate_accuracy(model, features, labels, batch_size)
     return mean_average_precision(_eval_logits(model, features, batch_size), labels).value
+
+
+def _diverged(what, it, config):
+    return DivergenceError(f"non-finite {what} at iteration {it} "
+                           f"(lr={config.lr}, optimizer={config.optimizer})")
+
+
+def _check_finite(model, it, config):
+    """Raise DivergenceError if a step left a parameter non-finite; the loss
+    check finds it only at the next step's forward pass."""
+    if not all(np.isfinite(flat).all() for flat in model.sync_store().values()):
+        raise _diverged("parameters", it, config)
 
 
 def train_loop(model, features, labels, config: TrainConfig,
@@ -414,14 +447,12 @@ def train_loop(model, features, labels, config: TrainConfig,
     cross-entropy otherwise.  Each iteration appends one row (iteration,
     loss, metric or None) to ``log_rows``, which is also the result's
     ``history``, after its optimizer step and eval.  Deterministic given the
-    config seed.  Raises DivergenceError on a non-finite loss.
+    config seed.  Raises DivergenceError, with no numpy warning, on a
+    non-finite loss, or on non-finite parameters before an eval or the return.
     """
     task = model.task
     n = features.shape[0]
     rng = np.random.default_rng(config.seed)
-    _check_batch_size(config.batch_size)
-    if config.iterations < 0:
-        raise ConfigError(f"iterations must be non-negative, got {config.iterations}")
     opt = OptimState(model, config.optimizer, config.lr)
 
     if task == "single" and labels.ndim == 1:
@@ -446,23 +477,22 @@ def train_loop(model, features, labels, config: TrainConfig,
             xb, yb = mixup(xb, xb[perm], yb, yb[perm], lam=lam)
         xb = model_input(model, xb).astype(dtype, copy=False)
 
-        z, tape = forward(model, xb, mode="train")
-        if loss_fn is not None:
-            loss = loss_fn(z, yb, tape)
-        elif task == "multi":
-            loss = binary_cross_entropy(z, yb, tape)
-        else:
-            loss = cross_entropy(z, yb, tape)
-        if not np.isfinite(float(loss)):
-            raise DivergenceError(
-                f"non-finite loss {float(loss)} at iteration {it} "
-                f"(lr={config.lr}, optimizer={config.optimizer})"
-            )
-        grads = backward(tape, loss)
-        opt.step(grads)
+        # no overflow warnings: the loss check and _check_finite report divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            z, tape = forward(model, xb, mode="train")
+            if loss_fn is not None:
+                loss = loss_fn(z, yb, tape)
+            elif task == "multi":
+                loss = binary_cross_entropy(z, yb, tape)
+            else:
+                loss = cross_entropy(z, yb, tape)
+            if not np.isfinite(float(loss)):
+                raise _diverged(f"loss {float(loss)}", it, config)
+            opt.step(backward(tape, loss))
 
         metric = None
         if config.eval_every and (it % config.eval_every == 0 or it == config.iterations):
+            _check_finite(model, it, config)
             metric = evaluate_metric(model, val_features, val_labels, task)
             if metric > best:
                 best = metric
@@ -474,6 +504,8 @@ def train_loop(model, features, labels, config: TrainConfig,
                 and metric >= config.target_metric):
             break
 
+    if result.iterations_run:
+        _check_finite(model, result.iterations_run, config)
     if config.keep == "best" and best_snap is not None:
         for dt, flat in model.sync_store().items():  # one copy per dtype
             flat[...] = best_snap[dt]

@@ -22,6 +22,7 @@ from qprune.autodiff import (
     backward,
     binary_cross_entropy,
     cross_entropy,
+    evaluate_accuracy,
     forward,
     inference,
     kl_divergence,
@@ -32,7 +33,7 @@ from qprune.autodiff import (
     step,
     train_loop,
 )
-from qprune.exceptions import ConfigError, DivergenceError, ShapeError
+from qprune.exceptions import ConfigError, DivergenceError, QPruneError, ShapeError
 from qprune.nn import Flatten, Linear, ModelGraph, freeze, model_input
 
 
@@ -151,6 +152,13 @@ class TestKLDivergence:
                 assert val == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("loss", [cross_entropy, binary_cross_entropy, kl_divergence,
+                                  mse_loss])
+def test_losses_reject_operands_of_other_shapes(loss):
+    with pytest.raises(ShapeError):
+        loss(np.full((2, 3), 1 / 3), np.full((2, 2), 1 / 2))
+
+
 class TestBackward:
     def test_constant_loss_zero_grads(self):
         model = toy_quaternion_model()
@@ -180,6 +188,14 @@ class TestBackward:
         loss2 = cross_entropy(z2, one_hot([0, 1], 2), tape2)
         with pytest.raises(ValueError):
             backward(tape, loss2)
+
+    def test_loss_must_be_a_loss_of_the_logits_shape(self):
+        model = toy_real_model()
+        z, tape = forward(model, np.random.default_rng(4).normal(size=(2, 3, 8, 8)))
+        with pytest.raises(ValueError, match="must be a Loss"):
+            backward(tape, 1.0)
+        with pytest.raises(ShapeError, match="loss gradient"):
+            backward(tape, Loss(1.0, np.zeros((2, z.shape[1] + 1)), tape))
 
     @pytest.mark.parametrize("name", ["qcnn-mini", "cnn-mini"])
     def test_first_layer_input_gradient_not_computed(self, name, monkeypatch):
@@ -343,6 +359,11 @@ class TestOptimizers:
         with pytest.raises(ConfigError):
             OptimState(toy_real_model(), kind, lr=lr)
 
+    @pytest.mark.parametrize("kind", ["SGD", "rmsprop"])
+    def test_unknown_optimizer(self, kind):
+        with pytest.raises(ConfigError, match="unknown optimizer"):
+            OptimState(toy_real_model(), kind)
+
     def test_zero_learning_rate_is_a_no_op(self):
         model = toy_real_model()
         before = [a.copy() for *_, a in model.all_params()]
@@ -435,6 +456,13 @@ class TestMixup:
         with pytest.raises(ValueError):
             mixup(x, x, x, x, lam=1.5)
 
+    def test_operands_of_other_shapes(self, rng):
+        x = rng.normal(size=(2, 2))
+        with pytest.raises(ShapeError):
+            mixup(x, x[:, :1], x, x, lam=0.5)
+        with pytest.raises(ShapeError):
+            mixup(x, x, x, x[:1], lam=0.5)
+
 
 class TestTrainLoop:
     def test_divergence_aborts(self):
@@ -476,6 +504,42 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train_loop(model, np.zeros((4, 2)), np.array([0, 1, 0, 1]),
                        TrainConfig(iterations=-1))
+
+    @pytest.mark.parametrize("field,value", [
+        ("iterations", -1), ("batch_size", 0), ("eval_every", -3),
+        ("target_metric", np.nan), ("target_metric", np.inf), ("keep", "bogus"),
+    ])
+    def test_config_field_outside_its_domain(self, field, value):
+        with pytest.raises(ConfigError, match=field.replace("_", ".")):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_label_outside_the_class_range(self, bad):
+        from qprune.models import build_model
+
+        model = build_model("qcnn-mini", 4, (4, 16, 16), seed=1)
+        model.forward_count = 0
+        feats = np.zeros((4, 4, 1, 16, 16), np.float32)
+        labels = np.array([0, 1, bad, 3])
+        cfg = TrainConfig(iterations=1, eval_every=0)
+        for run in (lambda: one_hot(labels, 4), lambda: evaluate_accuracy(model, feats, labels),
+                    lambda: train_loop(model, feats, labels, cfg)):
+            with pytest.raises(QPruneError, match=rf"label {bad} is outside the 4 classes"):
+                run()
+        assert model.forward_count == 0
+
+    @pytest.mark.parametrize("eval_every", [0, 1])
+    def test_last_step_to_non_finite_parameters_diverges(self, eval_every):
+        # one step at lr=1e300 leaves non-finite parameters, which no later
+        # loss reveals: the run raises before any eval or its return, and
+        # numpy warns of nothing (pytest makes a warning an error)
+        from qprune.models import build_model
+
+        model = build_model("qcnn-mini", 2, (4, 16, 16), seed=5)
+        feats = np.random.default_rng(8).normal(size=(8, 4, 1, 16, 16)).astype(np.float32)
+        cfg = TrainConfig(iterations=1, lr=1e300, eval_every=eval_every)
+        with pytest.raises(DivergenceError, match="non-finite parameters at iteration 1"):
+            train_loop(model, feats, np.array([0, 1] * 4), cfg)
 
     def test_multi_label_model_trains_on_sigmoid_cross_entropy(self):
         from qprune.features import synth_dataset
@@ -647,3 +711,10 @@ def test_a_raising_layer_restores_the_blas_threads(split, monkeypatch, on):
     assert control[0]() == 2 and not _eval_threads()
     monkeypatch.setattr(autodiff, "_run_layers", spy)  # the next evaluation matches
     _assert_same(autodiff._eval_logits(model, EVAL_FEATURES, 16), _serial_logits(model, 16))
+
+
+def test_blas_control_is_none_when_no_library_loads(monkeypatch):
+    import glob
+
+    monkeypatch.setattr(glob, "glob", lambda pattern: [pattern.replace("*", "missing")])
+    assert autodiff._blas_threads.__wrapped__() is None

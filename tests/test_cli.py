@@ -890,3 +890,17 @@ def test_every_numeric_option_value_runs_or_is_one_line(tmp_path, capsys, traine
     else:
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), ([], 2), (["train", "--bogus"], 2)])
+def test_argparse_exit_is_the_return_code(capsys, argv, code):
+    assert main(argv) == code
+
+
+def test_diverging_train_is_one_error_line(tmp_path, capsys, data_dir):
+    # fails where numpy warns of the overflow: pytest makes a warning an error
+    capsys.readouterr()
+    assert main(["train", "--data", str(data_dir), "--lr", "1e300",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite loss nan at iteration 2 (lr=1e+300, optimizer=adam)\n"

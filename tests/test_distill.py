@@ -21,7 +21,7 @@ from qprune.distill import (
     make_student_from_plan,
     softened_softmax,
 )
-from qprune.exceptions import ShapeError
+from qprune.exceptions import ConfigError, ShapeError
 from qprune.features import synth_dataset
 from qprune.pruning import build_prune_plan, apply_prune
 
@@ -57,6 +57,11 @@ class TestSoftenedSoftmax:
         with pytest.raises(ValueError):
             KDConfig(temperature=-1.0)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, np.nan])
+    def test_alpha_outside_zero_one(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            KDConfig(alpha=alpha)
+
 
 class TestKDTotalLoss:
     def test_alpha_one_equals_cross_entropy_bitwise(self, rng):
@@ -85,6 +90,10 @@ class TestKDTotalLoss:
                 kls.append(kd.kl)
         # one value at every alpha and scaling, from log-probabilities
         assert kls == [kls[0]] * 6 and kls[0] == pytest.approx(want_kl, rel=1e-12)
+
+    def test_student_and_teacher_logits_of_other_shapes(self):
+        with pytest.raises(ShapeError, match="student logits"):
+            kd_total_loss(np.zeros((2, 3)), np.zeros((2, 4)), one_hot([0, 1], 3), KDConfig())
 
     def test_alpha_zero_identical_logits(self, rng):
         z = rng.normal(size=(3, 5))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qprune import features
-from qprune.exceptions import FormatError, ShapeError, TruncationError
+from qprune.exceptions import ConfigError, FormatError, ShapeError, TruncationError
 from qprune.features import (
     LOG_FLOOR,
     LabeledDataset,
@@ -58,6 +58,22 @@ class TestWavToMel:
     def test_empty_clip_rejected(self):
         with pytest.raises(ValueError):
             wav_to_mel(np.zeros(0))
+
+    @pytest.mark.parametrize("clip,says", [
+        (np.zeros((2, 16000)), "expected mono samples"),
+        (np.zeros(704), "clip too short for STFT padding"),  # window - hop samples
+    ], ids=["stereo", "shorter_than_padding"])
+    def test_clip_of_one_channel_longer_than_its_padding(self, clip, says):
+        with pytest.raises(ShapeError, match=says):
+            wav_to_mel(clip)
+
+    @pytest.mark.parametrize("values,error", [
+        (np.zeros(5), ShapeError), (np.zeros((0, 4)), ShapeError),
+        (np.array([[0.0, np.inf]]), ValueError),
+    ], ids=["rank_1", "no_frames", "non_finite"])
+    def test_mel_values_are_finite_frames_by_bins(self, values, error):
+        with pytest.raises(error):
+            MelSpectrogram(values)
 
     def test_wrong_rate_needs_override(self):
         clip = np.zeros(22050)
@@ -143,6 +159,11 @@ class TestQuaternionEncoding:
     def test_too_few_frames(self):
         with pytest.raises(ShapeError):
             encode_quaternion_features(np.zeros((6, 4)))
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 10, 4)])
+    def test_not_frames_by_bins(self, shape):
+        with pytest.raises(ShapeError, match="expected \\(frames, bins\\)"):
+            encode_quaternion_features(np.zeros(shape))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_batched_derivative_equals_per_sample_bitwise(self, dtype):
@@ -249,6 +270,18 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(4, 3)
 
+    @pytest.mark.parametrize("kw,says", [
+        (dict(frames=6), "frames must be >= 7"), (dict(bins=0), "at least one mel bin"),
+    ])
+    def test_frames_and_bins_outside_their_domain(self, kw, says):
+        with pytest.raises(ConfigError, match=says):
+            synth_dataset(3, 6, **kw)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, np.nan])
+    def test_validation_fraction_outside_zero_one(self, fraction):
+        with pytest.raises(ConfigError, match="val_fraction must lie in"):
+            features.split_dataset(synth_dataset(3, 6), fraction)
+
     @staticmethod
     def _per_sample_reference(num_classes, num_samples, seed, frames, bins,
                               noise, multilabel):
@@ -306,6 +339,15 @@ class TestManifestLoader:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert back.num_classes == 3 and back.task == "single"
+
+    def test_blank_manifest_lines_are_skipped(self, tmp_path):
+        ds = synth_dataset(3, 4, seed=3, frames=10, bins=6)
+        save_dataset(ds, tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("\n", "\n\n  \n", 2))
+        back = load_dataset(tmp_path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
 
     def test_multilabel_round_trip(self, tmp_path):
         ds = synth_dataset(3, 10, seed=4, frames=10, bins=6, multilabel=True)

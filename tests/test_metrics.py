@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qprune.exceptions import FormatError, UndefinedMetricError
+from qprune.exceptions import FormatError, ShapeError, UndefinedMetricError
 from qprune.metrics import (
     EvalReport,
     average_precision,
@@ -139,6 +139,21 @@ class TestFoldAccuracy:
     def test_zero_total_fold(self):
         with pytest.raises(UndefinedMetricError):
             fold_accuracy([(1, 2), (0, 0)])
+
+    def test_no_folds(self):
+        with pytest.raises(UndefinedMetricError, match="at least one fold"):
+            fold_accuracy([])
+
+
+@pytest.mark.parametrize("metric,scores,labels", [
+    (average_precision, np.zeros(3), np.ones(2)),
+    (average_precision, np.zeros((2, 1)), np.ones((2, 1))),  # not one class
+    (mean_average_precision, np.zeros((2, 2)), np.ones((2, 3))),
+    (mean_average_precision, np.zeros(2), np.ones(2)),  # not a matrix
+], ids=["ap_lengths", "ap_matrix", "map_widths", "map_vector"])
+def test_scores_and_labels_of_other_shapes(metric, scores, labels):
+    with pytest.raises(ShapeError):
+        metric(scores, labels)
 
 
 class TestCountParams:

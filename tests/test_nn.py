@@ -369,6 +369,15 @@ class TestSplitOps:
         with pytest.raises(ShapeError):
             split_pool(QTensor(np.zeros((4, 1, 2, 2))), "max", 3)
 
+    @pytest.mark.parametrize("op", [
+        lambda t: split_activation(t, "tanh"),
+        lambda t: split_batchnorm(t, QBatchNorm2d(1), mode="test"),
+        lambda t: split_pool(t, "min", 2),
+    ], ids=["activation", "batchnorm_mode", "pool_kind"])
+    def test_unknown_kind_or_mode(self, op):
+        with pytest.raises(ValueError, match="unsupported|mode must be"):
+            op(QTensor(np.zeros((4, 1, 2, 2))))
+
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_qbatchnorm_is_batchnorm_on_the_real_channels(mode):
@@ -460,6 +469,58 @@ def test_init_params_draws_each_layer_once():
             calls.append(layer.lid), init(rng))
     model.init_params(np.random.default_rng(0))
     assert calls == list(range(27))  # 17 top-level layers, 2 x 5 interior
+
+
+def test_unknown_model_name():
+    from qprune.models import build_model
+
+    with pytest.raises(ConfigError, match="unknown model 'qcnn'; choose from"):
+        build_model("qcnn", 4)
+
+
+def test_base_layer_has_no_forward_or_backward():
+    from qprune.nn import Layer
+
+    with pytest.raises(NotImplementedError):
+        Layer().forward(np.zeros((1, 4)))
+    with pytest.raises(NotImplementedError):
+        Layer().backward(np.zeros((1, 4)), None, {})
+
+
+def test_reprs_name_the_spec():
+    assert repr(Conv2d(4, 8, (3, 3), padding=1)) == (
+        "Conv2d(c_in=4, c_out=8, kernel=[3, 3], stride=1, padding=1, bias=True)")
+    assert repr(ReLU()) == "ReLU()"
+    model = ModelGraph([Flatten(), Linear(4, 2)], (4, 1, 1), 2, quaternion=False, name="m")
+    assert repr(model) == ("ModelGraph(name='m', real, input=(4, 1, 1), classes=2, "
+                           "layers=2)")
+
+
+@pytest.mark.parametrize("layer,x,says", [
+    (Linear(3, 2), np.zeros((1, 4)), "linear expects \\(N, 3\\) features"),
+    (ResidualBlock([Conv2d(4, 8, (1, 1))]), np.zeros((1, 4, 2, 2), np.float32),
+     "residual inner stack changed shape"),
+], ids=["linear", "residual"])
+def test_forward_of_an_input_of_another_shape(layer, x, says):
+    with pytest.raises(ShapeError, match=says):
+        layer.forward(x)
+
+
+def test_model_input_is_plane_stacked():
+    from qprune.nn import model_input
+
+    model = ModelGraph([], (4, 4, 4), 2, quaternion=True)
+    with pytest.raises(ShapeError, match="expected \\(N, 4, Q, H, W\\)"):
+        model_input(model, np.zeros((2, 3, 1, 4, 4)))
+
+
+def test_frozen_rejects_a_batchnorm_on_other_channel_axes():
+    from qprune.nn import freeze
+
+    model = ModelGraph([Conv2d(4, 4, (1, 1)), QBatchNorm2d(1), GlobalAvgPool2d(),
+                        Flatten(), Linear(4, 2)], (4, 4, 4), 2, quaternion=False)
+    with pytest.raises(ShapeError, match="batchnorm on channel axes"):
+        freeze(model)
 
 
 def test_every_layer_class_owns_forward_and_backward():
@@ -672,6 +733,21 @@ class TestConvertArchitecture:
         model = ModelGraph(layers, (4, 4, 4), 2, quaternion=False)
         with pytest.raises(ConversionError, match="layer 0"):
             convert_architecture(model)
+
+    def test_quaternion_model_rejected(self):
+        qmodel = convert_architecture(small_real_model())
+        with pytest.raises(ConversionError, match="already quaternion-valued"):
+            convert_architecture(qmodel)
+
+    def test_quaternion_or_unknown_layer_named(self):
+        class Custom(ReLU):
+            type_name = "custom"
+
+        for layer, says in ((QConv2d(1, 1, (1, 1)), "layer 0: qconv2d is already quaternion"),
+                            (Custom(), "layer 0: cannot convert custom")):
+            model = ModelGraph([layer], (4, 4, 4), 2, quaternion=False)
+            with pytest.raises(ConversionError, match=says):
+                convert_architecture(model)
 
     def test_indivisible_input_rejected(self):
         model = ModelGraph([Flatten(), Linear(3 * 16, 2)], (3, 4, 4), 2,

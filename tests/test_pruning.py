@@ -33,6 +33,7 @@ from qprune.pruning import (
     finetune,
     geometric_median,
     gm_importance,
+    importance_scores,
     l1_importance,
     load_plan,
     op_importance,
@@ -112,6 +113,15 @@ class TestGeometricMedian:
         gm = geometric_median(pts)
         grid = grid_refined_median(pts)
         assert gm_objective(gm, pts) <= gm_objective(grid, pts) + 1e-4
+
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            geometric_median(np.zeros((0, 2)))
+
+    def test_mean_on_a_point_is_nudged_off_it(self):
+        # the first iterate, the mean 0, is the data point 0, and the
+        # direction to the mean is 0: it moves along (1, ..., 1) instead
+        assert abs(geometric_median(np.array([-1.0, 0.0, 1.0]))[0]) <= 1e-6
 
     def test_collinear_with_median_on_point(self, rng):
         # median coincides with a data point: the guard must still converge
@@ -279,6 +289,10 @@ class TestBuildPrunePlan:
     def test_bad_ratio(self):
         with pytest.raises(PlanError):
             build_prune_plan(chain_model(), "l1", 1.0)
+
+    def test_unknown_importance_method(self):
+        with pytest.raises(PlanError, match="unknown importance method 'l2'"):
+            importance_scores(chain_model().layers[0], "l2")
 
     def test_non_qconv_target(self):
         with pytest.raises(PlanError):

@@ -124,3 +124,22 @@ class TestQTensor:
         assert qtensor_elementwise("abs_sum", t) == 0.0
         with pytest.raises(ValueError):
             qtensor_elementwise("pow", t, 2)
+
+    def test_elementwise_dispatch_to_each_op(self):
+        t = QTensor(np.arange(16.0).reshape(4, 1, 2, 2))
+        np.testing.assert_array_equal(qtensor_elementwise("add", t, t).data, 2 * t.data)
+        np.testing.assert_array_equal(qtensor_elementwise("scale", t, -0.5).data, -0.5 * t.data)
+        with pytest.raises(ValueError, match="single tensor"):
+            qtensor_elementwise("abs_sum", t, t)
+
+    @pytest.mark.parametrize("data,error", [
+        (np.zeros((3, 1, 2, 2)), ShapeError), (np.zeros((4, 2, 2)), ShapeError),
+        (np.full((4, 1, 1, 1), np.nan), ValueError),
+    ], ids=["three_planes", "rank_3", "non_finite"])
+    def test_data_is_four_finite_planes_of_maps(self, data, error):
+        with pytest.raises(error):
+            QTensor(data)
+
+    def test_repr(self):
+        t = QTensor.zeros(2, 3, 5)
+        assert repr(t) == "QTensor(channels=2, height=3, width=5, dtype=float32)"
